@@ -4,7 +4,7 @@ Gauss-reduced and Zagier-reduced forms, their reduction cycles, the
 fundamental Pell solution of |t^2 - delta u^2| = 4, and the dictionary
 between reduced forms, bead strings, binary necklaces, and continued
 fraction expansions (regular, negative, and binary).  All arithmetic is
-exact; a compiled kernel accelerates the hot loops when available.
+exact and in pure Python.
 """
 
 from .contfrac import (

@@ -164,12 +164,19 @@ def _neg_step(p: int, q: int, delta: int, s: int) -> tuple:
     return a, p1, q1
 
 
+def _term_count(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"term count must be nonnegative, got {n}")
+    return n
+
+
 def reg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n regular continued fraction quotients of x."""
     p, q, d = x
     s = math.isqrt(d)
     out = []
-    for _ in range(int(n)):
+    for _ in range(_term_count(n)):
         a, p, q = _reg_step(p, q, d, s)
         out.append(a)
     return tuple(out)
@@ -180,7 +187,7 @@ def neg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     p, q, d = x
     s = math.isqrt(d)
     out = []
-    for _ in range(int(n)):
+    for _ in range(_term_count(n)):
         a, p, q = _neg_step(p, q, d, s)
         out.append(a)
     return tuple(out)
@@ -192,9 +199,10 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     Tail values stay positive, so the quotient sequence never shows two
     zeros in a row.
     """
+    n = _term_count(n)
     if x.cmp(0) < 0:
         raise ValueError("binary expansion needs a positive value")
-    return kernel.denjoy_bits(x.p, x.q, x.delta, int(n))
+    return kernel.denjoy_bits(x.p, x.q, x.delta, n)
 
 
 def reg_cf_period(x: QuadraticSurd) -> tuple:

@@ -412,6 +412,30 @@ def _lgz_forms(delta):
     return cases, fails
 
 
+def _denjoy_bits_stepwise(p, q, delta, n):
+    """Reference binary expansion, one bit per step on the (p, q) state.
+
+    denjoy_surd is built from regular quotients, so checking the
+    regular-to-binary rewrite against it would be circular; this takes
+    the binary step itself: bit 1 and x -> 1/(x - 1) when x > 1, else
+    bit 0 and x -> 1/x.
+    """
+    s = math.isqrt(delta)
+    bits = []
+    for _ in range(n):
+        if q > 0:
+            fl = (p + s) // q
+        else:
+            fl = -((p + s) // (-q)) - 1
+        bit = 1 if fl >= 1 else 0
+        p1 = bit * q - p
+        q1, r = divmod(delta - p1 * p1, q)
+        assert r == 0, "surd state lost the divisibility invariant"
+        p, q = p1, q1
+        bits.append("1" if bit else "0")
+    return "".join(bits)
+
+
 def _lgz_sample(delta_max):
     cases, fails = 0, []
     rng = random.Random(1729)
@@ -451,7 +475,7 @@ def _lgz_sample(delta_max):
         y = surd(g.b, 2 * g.a, d)
         bits = reg_to_denjoy(reg_cf_surd(y, 50))
         cases += 1
-        if bits[:50] != denjoy_surd(y, 50):
+        if bits[:50] != _denjoy_bits_stepwise(y.p, y.q, y.delta, 50):
             fails.append(f"y={y}: regular-to-binary rewrite diverges "
                          f"from the direct expansion")
     return cases, fails
@@ -564,8 +588,9 @@ def verify(theorem_id: str, delta_max: int, jobs=None) -> VerificationReport:
 
     delta_max is the discriminant bound for sweep suites, the sample count
     for continuant_identities and tz_knead, and a simple on-switch for the
-    fixed necklace sweep of zcaliber.  jobs > 1 shards units across
-    processes; results are merged in unit order either way.
+    fixed necklace sweep of zcaliber.  jobs > 1 shards units across at
+    most os.cpu_count() processes; results are merged in unit order
+    either way.
     """
     if theorem_id not in _SUITES:
         known = ", ".join(SUITE_IDS)
@@ -575,13 +600,16 @@ def verify(theorem_id: str, delta_max: int, jobs=None) -> VerificationReport:
         raise ValueError("delta_max must be at least 1")
     if jobs is None:
         jobs = int(os.environ.get("ZRED_JOBS") or 1)
-    jobs = max(1, int(jobs))
+    jobs = int(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     units = _SUITES[theorem_id].units(bound)
     report = VerificationReport(theorem_id, bound)
-    if jobs > 1 and len(units) > 1:
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(jobs, len(units))) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_work, units, chunksize=8)
     else:
         results = map(_work, units)

@@ -85,6 +85,12 @@ def test_precondition_failures_exit_3(capsys):
     assert code == 3
     code, _, err = run(capsys, "tau", "1,0,1")
     assert code == 3
+    for kind in ("reg", "neg", "denjoy"):
+        code, out, err = run(capsys, "surd-cf", "0", "1", "2", "--kind", kind,
+                             "--terms", "-3")
+        assert (code, out) == (3, "") and "term count" in err
+    code, out, err = run(capsys, "verify", "--suite", "rotation", "--jobs", "0")
+    assert (code, out) == (3, "") and "jobs" in err
 
 
 def test_usage_failures_exit_2(capsys):

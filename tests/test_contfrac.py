@@ -166,6 +166,14 @@ def test_surd_validation():
         surd(1, 2, -3)
 
 
+def test_expansions_reject_negative_term_counts():
+    x = surd(0, 1, 2)
+    for expand in (reg_cf_surd, neg_cf_surd, denjoy_surd):
+        assert len(expand(x, 0)) == 0
+        with pytest.raises(ValueError):
+            expand(x, -3)
+
+
 def test_floor_ceil_golden_ratio():
     golden = surd(1, 2, 5)
     assert floor_surd(golden) == 1

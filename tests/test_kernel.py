@@ -1,28 +1,18 @@
-"""Pure and compiled kernels must be interchangeable."""
+"""The kernel against independent references."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from zred import _kernel_py as pure
+import zred
 from zred import kernel
+from zred.contfrac import surd
+from zred.oracle import _denjoy_bits_stepwise, expand_surd_oracle
 
 
 def test_backend_names():
-    assert pure.backend() == "pure"
-    assert kernel.backend() in ("pure", "compiled")
-
-
-def test_pure_backend_forced_by_env():
-    code = "import zred; print(zred.backend())"
-    env = dict(os.environ, ZRED_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+    assert zred.backend() == kernel.backend() == "pure"
 
 
 def test_euclid_quotients_agree():
@@ -33,8 +23,7 @@ def test_euclid_quotients_agree():
     for a, b in pairs:
         num, den = max(a, b), min(a, b)
         got = kernel.euclid_quotients(num, den)
-        assert got == pure.euclid_quotients(num, den)
-        # reconstruct the fraction to double-check both
+        # the quotients must rebuild the reduced fraction
         n, d = 1, 0
         for q in reversed(got):
             n, d = q * n + d, n
@@ -46,57 +35,48 @@ def test_euclid_validation_matches():
     for bad in ((0, 3), (3, 0), (-2, 5), (5, -1)):
         with pytest.raises(ValueError):
             kernel.euclid_quotients(*bad)
-        with pytest.raises(ValueError):
-            pure.euclid_quotients(*bad)
 
 
-def test_form_enumerations_agree():
-    for delta in range(5, 400):
-        if delta % 4 not in (0, 1) or math.isqrt(delta) ** 2 == delta:
+def _random_states(rng, count):
+    # positive surds (p + sqrt(d))/q with q | d - p*p, either sign of q
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 5000)
+        s = math.isqrt(d)
+        if s * s == d:
             continue
-        assert kernel.z_reduced_forms(delta) == pure.z_reduced_forms(delta)
-        assert kernel.g_reduced_forms(delta) == pure.g_reduced_forms(delta)
+        x = surd(rng.randint(-3 * s, 3 * s),
+                 rng.choice((-1, 1)) * rng.randint(1, 2 * s + 1), d)
+        if x.cmp(0) > 0:
+            out.append(x)
+    return out
 
 
 def test_denjoy_bits_agree():
     rng = random.Random(11)
-    cases = [(3, 2, 17, 60), (1, 2, 5, 60), (0, 1, 2, 60)]
-    for _ in range(200):
-        d = rng.randint(2, 5000)
-        if math.isqrt(d) ** 2 == d:
-            continue
-        s = math.isqrt(d)
-        p = rng.randint(-s, 3 * s)
-        q = rng.randint(1, 2 * s + 1)
-        if (d - p * p) % q:
-            p, d, q = p * q, d * q * q, q * q
-        if p + s < 0 or (p == -s and p * p >= d):
-            continue
-        cases.append((p, q, d, rng.randint(1, 120)))
-    for p, q, d, n in cases:
-        got = kernel.denjoy_bits(p, q, d, n)
-        assert got == pure.denjoy_bits(p, q, d, n), (p, q, d, n)
+    cases = [(surd(3, 2, 17), 60), (surd(1, 2, 5), 60), (surd(0, 1, 2), 60),
+             # values in (0, 1): the first bit is 0
+             (surd(-1, 1, 2), 40), (surd(1, 7, 2), 40),
+             # q < 0
+             (surd(-3, -1, 5), 40), (surd(-9, -2, 17), 40),
+             # n = 0, and n ending inside the block of quotient 3
+             (surd(3, 2, 17), 0), (surd(3, 2, 17), 2), (surd(3, 2, 17), 4),
+             # a first quotient of 10**15 cut after 3 bits
+             (surd(10**15, 1, 2), 3), (surd(10**15, 1, 2), 0)]
+    cases += [(x, rng.randint(0, 120)) for x in _random_states(rng, 200)]
+    for x, n in cases:
+        got = kernel.denjoy_bits(x.p, x.q, x.delta, n)
         assert len(got) == n
+        assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), (x, n)
+        assert got == expand_surd_oracle(x, "denjoy", n), (x, n)
 
 
 def test_denjoy_bits_big_values_fall_back():
-    # above the fixed-width guards every backend must take the object path
-    d = 2**72 + 3
-    assert math.isqrt(d) ** 2 != d
-    got = kernel.denjoy_bits(0, 1, d, 90)
-    assert got == pure.denjoy_bits(0, 1, d, 90)
-    p, q = 2**40, 7
-    dd = d * q * q if (d - p * p) % q else d
-    pp = p * q if (d - p * p) % q else p
-    qq = q * q if (d - p * p) % q else q
-    assert kernel.denjoy_bits(pp, qq, dd, 64) == pure.denjoy_bits(pp, qq, dd, 64)
-
-
-def test_selected_backend_is_compiled_when_available():
-    try:
-        from zred import _kernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    if not os.environ.get("ZRED_PURE"):
-        assert kernel.backend() == "compiled"
-    assert _kernel.backend() == "compiled"
+    # past the range of fixed-width integers the exact arithmetic still holds
+    big = 2**72 + 3
+    assert math.isqrt(big) ** 2 != big
+    for x, n in ((surd(0, 1, big), 90), (surd(2**40, 7, big), 64)):
+        got = kernel.denjoy_bits(x.p, x.q, x.delta, n)
+        assert len(got) == n
+        assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), (x, n)
+        assert got == expand_surd_oracle(x, "denjoy", n), (x, n)

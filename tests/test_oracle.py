@@ -52,6 +52,8 @@ def test_verify_validation():
         verify("no_such_suite", 100)
     with pytest.raises(ValueError):
         verify("rotation", 0)
+    with pytest.raises(ValueError):
+        verify("rotation", 100, jobs=0)
 
 
 def test_suite_ids_are_stable():
@@ -78,10 +80,41 @@ def test_random_suites_pass_at_desk_scale():
     assert verify("lgz", 30).passed
 
 
-def test_parallel_report_is_deterministic():
+def test_parallel_report_is_deterministic(monkeypatch):
+    # three workers even on a machine with fewer CPUs
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     a = verify("rotation", 200, jobs=1)
     b = verify("rotation", 200, jobs=3)
     assert a.to_json() == b.to_json()
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        # runs the units in this process; never forks
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    want = verify("rotation", 60, jobs=1).to_json()
+    assert verify("rotation", 60, jobs=5000).to_json() == want
+    assert started == [2]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert verify("rotation", 60, jobs=5000).to_json() == want
+    assert started == [2]
 
 
 def test_jobs_env_default(monkeypatch):
