@@ -16,12 +16,13 @@ import math
 from typing import Iterable, NamedTuple
 
 from . import kernel
+from .forms import as_int, check_delta
 
 NatString = tuple  # tuple of positive ints (zero ends allowed where noted)
 
 
 def _as_entries(s: Iterable, what: str, allow_zero_ends: bool = False) -> tuple:
-    t = tuple(int(q) for q in s)
+    t = tuple(as_int(q) for q in s)
     for i, q in enumerate(t):
         if q < 1 and not (allow_zero_ends and q == 0 and i in (0, len(t) - 1)):
             raise ValueError(f"{what} entries must be positive, got {t}")
@@ -47,11 +48,16 @@ def continuant_matrix(s: Iterable) -> tuple:
 
     Equals the product of the matrices ((q, 1), (1, 0)) over the entries.
     """
-    t = _as_entries(s, "continuant")
+    m11, m12, m21, m22 = _continuants(_as_entries(s, "continuant"))
+    return ((m11, m12), (m21, m22))
+
+
+def _continuants(t: tuple) -> tuple:
+    # the entries of continuant_matrix, flat, for already checked entries
     m11, m12, m21, m22 = 1, 0, 0, 1
     for q in t:
         m11, m12, m21, m22 = q * m11 + m12, m11, q * m21 + m22, m21
-    return ((m11, m12), (m21, m22))
+    return m11, m12, m21, m22
 
 
 def cf_expand(num: int, den: int, parity: str) -> tuple:
@@ -64,15 +70,20 @@ def cf_expand(num: int, den: int, parity: str) -> tuple:
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    num, den = int(num), int(den)
+    num, den = as_int(num), as_int(den)
     if den < 1 or num < den:
         raise ValueError("cf_expand needs num >= den >= 1")
+    if num == den and parity == "even":
+        raise ValueError("1 has no even-length expansion with positive entries")
+    return _cf_parity(num, den, parity == "odd")
+
+
+def _cf_parity(num: int, den: int, want_odd: bool) -> tuple:
+    # cf_expand on checked input: num > den >= 1, or num == den with want_odd
+    assert num > den or (num == den and want_odd), "cf_expand core misused"
     q = kernel.euclid_quotients(num, den)
     if num == den:
-        if parity == "even":
-            raise ValueError("1 has no even-length expansion with positive entries")
         return (1,)
-    want_odd = parity == "odd"
     if (len(q) % 2 == 1) != want_odd:
         if q[-1] >= 2:
             q[-1] -= 1
@@ -129,11 +140,9 @@ class QuadraticSurd(NamedTuple):
 
 
 def surd(p: int, q: int, delta: int) -> QuadraticSurd:
-    p, q, delta = int(p), int(q), int(delta)
+    p, q, delta = as_int(p), as_int(q), check_delta(delta)
     if q == 0:
         raise ValueError("surd denominator must be nonzero")
-    if delta <= 0 or math.isqrt(delta) ** 2 == delta:
-        raise ValueError(f"delta must be a positive nonsquare, got {delta}")
     if (delta - p * p) % q:
         k = abs(q)
         p, delta, q = p * k, delta * k * k, q * k
@@ -165,7 +174,7 @@ def _neg_step(p: int, q: int, delta: int, s: int) -> tuple:
 
 
 def _term_count(n) -> int:
-    n = int(n)
+    n = as_int(n)
     if n < 0:
         raise ValueError(f"term count must be nonnegative, got {n}")
     return n
@@ -263,12 +272,12 @@ def neg_to_reg_stream(period: Iterable, n: int) -> tuple:
     A run of k 2s between larger entries contributes the regular pair
     (k + 1, next - 2); the opening entry contributes q1 - 1.
     """
-    t = tuple(int(q) for q in period)
+    t = tuple(as_int(q) for q in period)
     if not t or any(q < 2 for q in t):
         raise ValueError("negative period entries must be >= 2")
     if all(q == 2 for q in t):
         raise ValueError("the all-2s period is the rational 1")
-    n = int(n)
+    n = _term_count(n)
     out = [t[0] - 1]
     i = 1
 

@@ -7,6 +7,7 @@ integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 
@@ -76,8 +77,42 @@ class UnimodularMatrix(NamedTuple):
         )
 
 
+def as_int(x) -> int:
+    """x as an int: the one coercion rule at the public boundary.
+
+    Integers (anything operator.index accepts) and decimal strings pass;
+    anything else, floats included, raises ValueError rather than being
+    truncated.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return int(x)
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
+
+
+def nonsquare_isqrt(delta: int) -> int:
+    """isqrt(delta), after checking that delta is a positive nonsquare."""
+    if delta > 0:
+        s = math.isqrt(delta)
+        if s * s != delta:
+            return s
+    raise ValueError(f"discriminant must be a positive nonsquare, got {delta}")
+
+
+def check_delta(delta) -> int:
+    """delta coerced by as_int, after checking it is a positive nonsquare."""
+    delta = as_int(delta)
+    nonsquare_isqrt(delta)
+    return delta
+
+
 def form(a: int, b: int, c: int) -> Form:
-    return Form(int(a), int(b), int(c))
+    """Form from coefficients coerced by as_int."""
+    return Form(as_int(a), as_int(b), as_int(c))
 
 
 def act(f: Form, m: UnimodularMatrix) -> Form:
@@ -114,4 +149,4 @@ def form_to_json(f: Form) -> list:
 def form_from_json(obj) -> Form:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise ValueError(f"expected a 3-element array of coefficients, got {obj!r}")
-    return Form(*(int(x) for x in obj))
+    return form(*obj)

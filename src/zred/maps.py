@@ -15,18 +15,29 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contfrac import cf_expand, continuant
-from .forms import Form, check_indefinite, form
+from .contfrac import _cf_parity, _continuants
+from .forms import Form, form, nonsquare_isqrt
 from .pell import fundamental_solution
-from .strings import ColoredBin, alternating_necklace, check_nat, necklace, sb
+from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
+
+# Public maps check their input once; the cores (_automorph_z, _beta, _sigma)
+# take a checked Form.  A square discriminant passes the reducedness checks
+# (beta of (2, 5, 2) has delta = 9); fundamental_solution rejects it, and mu,
+# which needs no Pell unit, checks it itself.
 
 
 def _automorph_z(f: Form) -> tuple:
-    d = check_indefinite(f)
-    t, u, eps = fundamental_solution(d)
+    t, u, eps = fundamental_solution(f.discriminant())
     num = t + f.b * u
     assert num % 2 == 0, "t and b*u must share parity on one discriminant"
     return num // 2, u, eps
+
+
+def _z_reduced(f: Form, what: str) -> Form:
+    f = form(*f)
+    if not f.is_z_reduced():
+        raise ValueError(f"{what} needs a Zagier-reduced form, got {f}")
+    return f
 
 
 def gamma(f: Form) -> tuple:
@@ -39,7 +50,16 @@ def gamma(f: Form) -> tuple:
     if not f.is_g_reduced() or f.a < 0:
         raise ValueError(f"gamma needs a Gauss-reduced form with a > 0, got {f}")
     z, u, eps = _automorph_z(f)
-    return cf_expand(z, f.a * u, "odd" if eps == -4 else "even")
+    return _cf_parity(z, f.a * u, eps == -4)
+
+
+def _beta(f: Form) -> tuple:
+    z, u, eps = _automorph_z(f)
+    den = z - f.a * u
+    assert den > 0, "z exceeds a*u on Zagier-reduced forms"
+    s = _cf_parity(z, den, eps != -4)
+    assert len(s) >= 2, f"bead string of {f} collapsed to one entry"
+    return s
 
 
 def beta(f: Form) -> tuple:
@@ -48,20 +68,16 @@ def beta(f: Form) -> tuple:
     Expansion of z/(z - a u), with parity even exactly when
     t^2 - delta u^2 = -4.  Always at least two beads.
     """
-    f = form(*f)
-    if not f.is_z_reduced():
-        raise ValueError(f"beta needs a Zagier-reduced form, got {f}")
-    z, u, eps = _automorph_z(f)
-    den = z - f.a * u
-    assert den > 0, "z exceeds a*u on Zagier-reduced forms"
-    s = cf_expand(z, den, "even" if eps == -4 else "odd")
-    assert len(s) >= 2, f"bead string of {f} collapsed to one entry"
-    return s
+    return _beta(_z_reduced(f, "beta"))
+
+
+def _sigma(f: Form) -> str:
+    return _sb(_beta(f))
 
 
 def sigma(f: Form) -> str:
     """Binary string of a Zagier-reduced form: stars and bars on beta."""
-    return sb(beta(f))
+    return _sigma(_z_reduced(f, "sigma"))
 
 
 def sigma_bar(f: Form):
@@ -81,9 +97,9 @@ def mu(f: Form) -> Form:
     on each sign of a.
     """
     f = form(*f)
-    check_indefinite(f)
     if not f.is_g_reduced():
         raise ValueError(f"mu needs a Gauss-reduced form, got {f}")
+    nonsquare_isqrt(f.discriminant())
     if f.a > 0:
         g = Form(f.a, 2 * f.a + f.b, f.a + f.b + f.c)
     else:
@@ -99,13 +115,17 @@ def tau(s) -> Form:
     (1, 1) there, so (1, 1, 1) is not beta of any form.
 
     Built from continuants of the string with an end lowered: the middle
-    coefficient adds the untouched and the doubly lowered versions.
+    coefficient adds the untouched and the doubly lowered versions.  The
+    entries are checked once (positive integers, at least two; ValueError
+    otherwise), then one pass of the continuant-matrix product gives K(t),
+    K(t[:-1]), K(t[1:]) and K(t[1:-1]); lowering the first entry by one
+    subtracts K(t[1:]), lowering the last subtracts K(t[:-1]).
     """
     t = check_nat(s, min_len=2)
-    a = continuant((t[0] - 1,) + t[1:])
-    c = continuant(t[:-1] + (t[-1] - 1,))
-    k = continuant(t)
-    kk = continuant((t[0] - 1,) + t[1:-1] + (t[-1] - 1,))
+    k, k_left, k_right, k_inner = _continuants(t)
+    a = k - k_right
+    c = k - k_left
+    kk = k - k_left - k_right + k_inner
     g = Form(a, k + kk, c)
     assert g.discriminant() == (k - kk) ** 2 + (4 if len(t) % 2 == 0 else -4)
     assert g.is_z_reduced(), f"tau left the Zagier-reduced set at {t}"
@@ -119,11 +139,8 @@ def xi(s) -> Form:
     (K + K_inner)^2 -+ 4 by the continuant determinant identity.
     """
     t = check_nat(s, min_len=1)
-    a = continuant(t[1:])
-    c = -continuant(t[:-1])
-    inner = continuant(t[1:-1]) if len(t) >= 2 else 0
-    k = continuant(t)
-    g = Form(a, k - inner, c)
+    k, k_left, k_right, inner = _continuants(t)
+    g = Form(k_right, k - inner, -k_left)
     assert g.discriminant() == (k + inner) ** 2 + (4 if len(t) % 2 == 1 else -4)
     assert g.is_g_reduced() and g.a > 0, f"xi left the Gauss-reduced set at {t}"
     return g
@@ -150,4 +167,4 @@ def denjoy_period(f: Form) -> str:
     power of g's unit, the first whose u is divisible by m, so the result
     is g's period repeated k times.
     """
-    return "".join("01" if ch == "0" else "1" for ch in sigma(f))
+    return _sigma(_z_reduced(f, "denjoy_period")).replace("0", "01")

@@ -36,7 +36,7 @@ from .contfrac import (
     reg_to_denjoy,
     surd,
 )
-from .forms import Form, UnimodularMatrix, act
+from .forms import Form, UnimodularMatrix, act, as_int
 from .maps import beta, denjoy_period, gamma, mu, sigma, tau
 from .pell import fundamental_solution
 from .reduction import (
@@ -595,12 +595,12 @@ def verify(theorem_id: str, delta_max: int, jobs=None) -> VerificationReport:
     if theorem_id not in _SUITES:
         known = ", ".join(SUITE_IDS)
         raise ValueError(f"unknown suite {theorem_id!r}; known suites: {known}")
-    bound = int(delta_max)
+    bound = as_int(delta_max)
     if bound < 1:
         raise ValueError("delta_max must be at least 1")
     if jobs is None:
-        jobs = int(os.environ.get("ZRED_JOBS") or 1)
-    jobs = int(jobs)
+        jobs = os.environ.get("ZRED_JOBS") or 1
+    jobs = as_int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     units = _SUITES[theorem_id].units(bound)

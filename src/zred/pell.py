@@ -11,6 +11,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+from .forms import check_delta
+
 
 class PellSolution(NamedTuple):
     t: int
@@ -21,22 +23,13 @@ class PellSolution(NamedTuple):
         return f"t={self.t} u={self.u} epsilon={self.epsilon:+d}"
 
 
-def _check_delta(delta: int) -> int:
-    delta = int(delta)
-    if delta <= 0:
-        raise ValueError(f"discriminant must be positive, got {delta}")
-    if math.isqrt(delta) ** 2 == delta:
-        raise ValueError(f"discriminant must not be a perfect square, got {delta}")
-    return delta
-
-
 def solve_pell_bruteforce(delta: int, u_max: int) -> list[PellSolution]:
     """Every solution with 1 <= u <= u_max, ordered by (u, t).
 
     Exhaustive search; exists as an independent check on
     fundamental_solution, not for production use.
     """
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     if u_max < 1:
         raise ValueError("u_max must be at least 1")
     out = []
@@ -104,7 +97,7 @@ def fundamental_solution(delta: int) -> PellSolution:
     delta must be positive and not a perfect square.  Requires nothing of
     delta mod 4; for delta = 2, 3 mod 4 the parity forces t, u even.
     """
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     for eps in (-4, 4):
         t2 = delta + eps
         if t2 > 0:

@@ -10,12 +10,10 @@ are preserved.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import kernel
-from .contfrac import surd
-from .forms import Form, check_indefinite, form
+from .forms import Form, as_int, check_delta, form, nonsquare_isqrt
 
 
 class OrbitResult(NamedTuple):
@@ -23,13 +21,51 @@ class OrbitResult(NamedTuple):
     cycle: tuple
 
 
+# Public functions check their input once; the cores below take a checked
+# Form and s = isqrt(delta) of its discriminant, which a walk computes once.
+
+def _z_number(a: int, b: int, s: int) -> int:
+    # ceil((b + sqrt(delta)) / (2a)) = floor + 1 for a != 0, the value being
+    # irrational; the floor of (b + sqrt(delta)) / q is (b + s) // q for q > 0
+    # and -((b + s) // -q) - 1 for q < 0
+    return (b + s) // (2 * a) + 1 if a > 0 else -((b + s) // (-2 * a))
+
+
+def _z_step(f: Form, s: int) -> Form:
+    a, b, c = f
+    n = _z_number(a, b, s)
+    return Form(a * n * n - b * n + c, 2 * a * n - b, a)
+
+
+def _g_step(f: Form, s: int) -> Form:
+    a, b, c = f
+    m = (b + s) // (2 * abs(a))
+    n = m if a > 0 else -m
+    g = Form(a * n * n - b * n + c, 2 * a * n - b, a)
+    assert g.is_g_reduced(), f"Gauss step left the reduced set at {f}"
+    return g
+
+
+def _checked(f: Form) -> tuple:
+    """f as a Form with s = isqrt of its discriminant, a positive nonsquare."""
+    f = form(*f)
+    return f, nonsquare_isqrt(f.discriminant())
+
+
+def _check_g_reduced(f: Form, what: str) -> None:
+    if not f.is_g_reduced():
+        raise ValueError(f"{what} needs a Gauss-reduced form, got {f}")
+
+
+def _check_op(op: str) -> None:
+    if op not in ("z", "g"):
+        raise ValueError(f"op must be 'z' or 'g', got {op!r}")
+
+
 def reducing_number(f: Form) -> int:
     """ceil((b + sqrt(delta)) / (2a)); the multiplier used by r_z."""
-    f = form(*f)
-    d = check_indefinite(f)
-    if f.a == 0:
-        raise ValueError(f"form must have a != 0, got {f}")
-    return surd(f.b, 2 * f.a, d).ceil()
+    f, s = _checked(f)
+    return _z_number(f.a, f.b, s)
 
 
 def r_z(f: Form) -> Form:
@@ -37,11 +73,10 @@ def r_z(f: Form) -> Form:
 
     Sends (a, b, c) to (a n^2 - b n + c, 2 a n - b, a) with n the reducing
     number; lands on a Zagier-reduced form after finitely many steps and
-    permutes them.
+    permutes them.  The discriminant must be a positive nonsquare
+    (ValueError otherwise); n comes from one isqrt of it.
     """
-    f = form(*f)
-    n = reducing_number(f)
-    return Form(f.a * n * n - f.b * n + f.c, 2 * f.a * n - f.b, f.a)
+    return _z_step(*_checked(f))
 
 
 def r_g(f: Form) -> Form:
@@ -51,15 +86,9 @@ def r_g(f: Form) -> Form:
     floor((b + sqrt(delta)) / (2|a|)), so the leading coefficient flips
     sign every step.
     """
-    f = form(*f)
-    d = check_indefinite(f)
-    if not f.is_g_reduced():
-        raise ValueError(f"r_g needs a Gauss-reduced form, got {f}")
-    m = surd(f.b, 2 * abs(f.a), d).floor()
-    n = m if f.a > 0 else -m
-    g = Form(f.a * n * n - f.b * n + f.c, 2 * f.a * n - f.b, f.a)
-    assert g.is_g_reduced(), f"Gauss step left the reduced set at {f}"
-    return g
+    f, s = _checked(f)
+    _check_g_reduced(f, "r_g")
+    return _g_step(f, s)
 
 
 def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
@@ -68,18 +97,18 @@ def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
     Returns the pre-period and the cycle; r_z reaches a cycle of reduced
     forms from any indefinite form, r_g requires a reduced start.
     """
-    f = form(*f)
-    check_indefinite(f)
-    if op not in ("z", "g"):
-        raise ValueError(f"op must be 'z' or 'g', got {op!r}")
-    step = r_z if op == "z" else r_g
+    f, s = _checked(f)
+    _check_op(op)
+    if op == "g":
+        _check_g_reduced(f, "r_g")
+    step = _z_step if op == "z" else _g_step
     seen: dict = {}
     seq = []
     g = f
     while g not in seen:
         seen[g] = len(seq)
         seq.append(g)
-        g = step(g)
+        g = step(g, s)
     i = seen[g]
     cycle = tuple(seq[i:])
     if op == "z":
@@ -87,24 +116,17 @@ def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
     return OrbitResult(tuple(seq[:i]), cycle)
 
 
-def _valid_delta(delta: int) -> int:
-    d = int(delta)
-    if d <= 0 or math.isqrt(d) ** 2 == d:
-        raise ValueError(f"delta must be a positive nonsquare, got {d}")
-    return d
-
-
 def enumerate_z_reduced(delta: int) -> list:
     """All Zagier-reduced forms of discriminant delta, sorted.
 
     Empty for delta = 2, 3 mod 4, where no integral form exists.
     """
-    return [Form(*t) for t in kernel.z_reduced_forms(_valid_delta(delta))]
+    return [Form(*t) for t in kernel.z_reduced_forms(check_delta(delta))]
 
 
 def enumerate_g_reduced(delta: int) -> list:
     """All Gauss-reduced forms of discriminant delta, both signs of a."""
-    return [Form(*t) for t in kernel.g_reduced_forms(_valid_delta(delta))]
+    return [Form(*t) for t in kernel.g_reduced_forms(check_delta(delta))]
 
 
 def cycles(delta: int, op: str = "z") -> list:
@@ -113,20 +135,23 @@ def cycles(delta: int, op: str = "z") -> list:
     Each cycle is a tuple starting from its least member; the list is
     ordered by those representatives.
     """
-    if op not in ("z", "g"):
-        raise ValueError(f"op must be 'z' or 'g', got {op!r}")
-    reduced = enumerate_z_reduced(delta) if op == "z" else enumerate_g_reduced(delta)
-    step = r_z if op == "z" else r_g
+    _check_op(op)
+    d = as_int(delta)
+    s = nonsquare_isqrt(d)
+    if op == "z":
+        reduced, step = kernel.z_reduced_forms(d), _z_step
+    else:
+        reduced, step = kernel.g_reduced_forms(d), _g_step
     seen = set()
     out = []
-    for f in reduced:
+    for f in map(Form._make, reduced):
         if f in seen:
             continue
         cyc = [f]
-        g = step(f)
+        g = step(f, s)
         while g != f:
             cyc.append(g)
-            g = step(g)
+            g = step(g, s)
         i = cyc.index(min(cyc))
         cyc = cyc[i:] + cyc[:i]
         seen.update(cyc)

@@ -10,12 +10,21 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .forms import as_int
+
 
 def check_nat(s, min_len: int = 1) -> tuple:
-    t = tuple(int(q) for q in s)
+    """s as a tuple of at least min_len positive ints, else ValueError.
+
+    Entries are coerced by forms.as_int, so 1.5 is rejected rather than
+    truncated; a tuple of ints is returned as it is, not rebuilt.
+    """
+    t = s
+    if type(t) is not tuple or not all(type(q) is int for q in t):
+        t = tuple(as_int(q) for q in s)
     if len(t) < min_len:
         raise ValueError(f"need at least {min_len} entries, got {t}")
-    if any(q < 1 for q in t):
+    if t and min(t) < 1:
         raise ValueError(f"entries must be positive integers, got {t}")
     return t
 
@@ -35,14 +44,12 @@ def sb(s) -> str:
     partial sum q1 + ... + qi lands, so sb((2, 1, 3)) = '01100'.  Needs at
     least two entries; a single entry would leave no bar.
     """
-    t = check_nat(s, min_len=2)
-    total = sum(t)
-    bars = set()
-    acc = 0
-    for q in t[:-1]:
-        acc += q
-        bars.add(acc)
-    return "".join("1" if i in bars else "0" for i in range(1, total))
+    return _sb(check_nat(s, min_len=2))
+
+
+def _sb(t: tuple) -> str:
+    # block q is q - 1 stars; a bar separates consecutive blocks
+    return "1".join(["0" * (q - 1) for q in t])
 
 
 def sb_inv(b: str):

@@ -93,6 +93,16 @@ def test_precondition_failures_exit_3(capsys):
     assert (code, out) == (3, "") and "jobs" in err
 
 
+def test_boundary_failures_exit_3(capsys):
+    # (2, 5, 2) passes the Zagier-reduced shape check; its delta is 9
+    for argv in (("beta", "2", "5", "2"), ("sigma", "2", "5", "2"),
+                 ("tau", "1,0"), ("tau", "1.5,2"), ("tau", "3"),
+                 ("reduce", "1", "3", "2"), ("caliber", "1", "3", "2"),
+                 ("cycles", "9")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and err.startswith("error:"), argv
+
+
 def test_usage_failures_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cf", "9", "7", "--parity", "sideways"])

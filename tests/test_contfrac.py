@@ -174,6 +174,30 @@ def test_expansions_reject_negative_term_counts():
             expand(x, -3)
 
 
+def test_neg_to_reg_stream_rejects_negative_term_counts():
+    assert neg_to_reg_stream((3, 2, 4), 0) == ()
+    with pytest.raises(ValueError):
+        neg_to_reg_stream((3, 2, 4), -2)
+
+
+def test_non_integral_input_is_rejected():
+    with pytest.raises(ValueError):
+        continuant((1.5, 2))
+    with pytest.raises(ValueError):
+        continuant_matrix((2, 2.0))
+    with pytest.raises(ValueError):
+        cf_expand(9.5, 7, "odd")
+    with pytest.raises(ValueError):
+        surd(1, 2, 5.0)
+    with pytest.raises(ValueError):
+        reg_cf_surd(surd(0, 1, 2), 2.5)
+    with pytest.raises(ValueError):
+        neg_to_reg_stream((3, 2.5), 4)
+    with pytest.raises(ValueError):
+        reg_to_denjoy((1.5,))
+    assert continuant(("2", "3")) == 7
+
+
 def test_floor_ceil_golden_ratio():
     golden = surd(1, 2, 5)
     assert floor_surd(golden) == 1

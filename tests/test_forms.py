@@ -8,10 +8,13 @@ from zred.forms import (
     Form,
     UnimodularMatrix,
     act,
+    as_int,
+    check_delta,
     check_indefinite,
     form,
     form_from_json,
     form_to_json,
+    nonsquare_isqrt,
 )
 
 T = UnimodularMatrix(1, 1, 0, 1)
@@ -127,3 +130,25 @@ def test_str_and_json():
 def test_form_coerces_to_int():
     assert form(1, 5, 2) == Form(1, 5, 2)
     assert form("1", "5", "2") == Form(1, 5, 2)
+
+
+def test_non_integral_coefficients_are_rejected():
+    for bad in ((1.9, 5, 1), (1, 5.0, 1), (1, 5, "2.5"), (1, None, 2)):
+        with pytest.raises(ValueError):
+            form(*bad)
+    with pytest.raises(ValueError):
+        form_from_json(["1", "5.5", "2"])
+    assert as_int(" 7 ") == 7 and as_int(-(10**40)) == -(10**40)
+
+
+def test_discriminant_checks():
+    assert nonsquare_isqrt(17) == 4
+    assert nonsquare_isqrt(10**40 + 1) == 10**20
+    assert check_delta("17") == 17
+    for bad in (-5, 0, 1, 9, 10**40):
+        with pytest.raises(ValueError):
+            nonsquare_isqrt(bad)
+        with pytest.raises(ValueError):
+            check_delta(bad)
+    with pytest.raises(ValueError):
+        check_delta(17.0)

@@ -11,7 +11,10 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from zred.contfrac import continuant
 from zred.forms import Form
 from zred.maps import (
     ClassInvariants,
@@ -192,3 +195,79 @@ def test_beta_always_has_two_entries():
             s = beta(f)
             assert len(s) >= 2
             assert sb(s) == sigma(f)
+
+
+# ------------------------------------------------- one-pass continuants
+
+def tau_four_continuants(s):
+    """tau as four continuants of the lowered strings: the slow reference."""
+    t = tuple(s)
+    a = continuant((t[0] - 1,) + t[1:])
+    c = continuant(t[:-1] + (t[-1] - 1,))
+    k = continuant(t)
+    kk = continuant((t[0] - 1,) + t[1:-1] + (t[-1] - 1,))
+    return Form(a, k + kk, c)
+
+
+def xi_four_continuants(s):
+    t = tuple(s)
+    inner = continuant(t[1:-1]) if len(t) >= 2 else 0
+    return Form(continuant(t[1:]), continuant(t) - inner, -continuant(t[:-1]))
+
+
+entry = st.one_of(st.integers(1, 9), st.integers(1, 10**20))
+
+
+@given(st.lists(entry, min_size=2, max_size=12))
+def test_tau_one_pass_matches_four_continuants(s):
+    assert tau(s) == tau_four_continuants(s)
+
+
+@given(st.lists(entry, min_size=1, max_size=12))
+def test_xi_one_pass_matches_four_continuants(s):
+    assert xi(s) == xi_four_continuants(s)
+
+
+def test_tau_one_pass_on_ones_and_pairs():
+    # lowered ends of 1 become zero ends, where the reference leans on
+    # continuant's zero-end convention
+    for l in range(2, 7):
+        for s in product((1, 2), repeat=l):
+            assert tau(s) == tau_four_continuants(s), s
+
+
+# ------------------------------------------------------- boundary checks
+
+def test_boundary_rejects_square_discriminants():
+    # (2, 5, 2) has the Zagier-reduced shape but delta = 9; (3, 4, -4) has
+    # the Gauss-reduced shape but delta = 64
+    for fn in (beta, sigma, denjoy_period, class_invariants):
+        with pytest.raises(ValueError):
+            fn(Form(2, 5, 2))
+    for fn in (gamma, mu):
+        with pytest.raises(ValueError):
+            fn(Form(3, 4, -4))
+
+
+def test_boundary_rejects_bad_strings():
+    for s in ((0, 3), (2,), (3, 0), (), (1, -1)):
+        with pytest.raises(ValueError):
+            tau(s)
+    with pytest.raises(ValueError):
+        xi((2, 0))
+
+
+def test_non_integral_input_is_rejected_not_truncated():
+    with pytest.raises(ValueError):
+        tau((1.5, 2.9))
+    with pytest.raises(ValueError):
+        xi((2.0,))
+    with pytest.raises(ValueError):
+        beta((1.7, 3, 1))
+    with pytest.raises(ValueError):
+        gamma((1, 3.0, -2))
+    with pytest.raises(ValueError):
+        mu((1, 3, -2.5))
+    # decimal strings are the one non-int input accepted
+    assert tau(("1", "3", "1", "1")) == Form(2, 10, 4)
+    assert beta(("1", "5", "2")) == (1, 3, 1, 1)

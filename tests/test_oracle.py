@@ -54,6 +54,10 @@ def test_verify_validation():
         verify("rotation", 0)
     with pytest.raises(ValueError):
         verify("rotation", 100, jobs=0)
+    with pytest.raises(ValueError):
+        verify("rotation", 100.5)
+    with pytest.raises(ValueError):
+        verify("rotation", 100, jobs=1.5)
 
 
 def test_suite_ids_are_stable():

@@ -72,6 +72,13 @@ def test_rejects_squares_and_nonpositive():
             fundamental_solution(bad)
 
 
+def test_rejects_non_integral_discriminants():
+    for bad in (17.0, 17.5, "17.5", None):
+        with pytest.raises(ValueError):
+            fundamental_solution(bad)
+    assert fundamental_solution("17") == fundamental_solution(17)
+
+
 def test_minus_four_on_primes():
     # classical: t^2 - p u^2 = -4 is solvable for primes 1 mod 4 and
     # never for primes 3 mod 4

@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from zred.contfrac import surd
 from zred.forms import Form
 from zred.reduction import (
     cycles,
@@ -155,3 +156,117 @@ def test_reducing_number_at_least_two_on_reduced(a, b, c):
     if not (f.is_indefinite() and f.is_z_reduced()):
         return
     assert reducing_number(f) >= 2
+
+
+# ------------------------------------- lean steps against the surd engine
+
+def r_z_reference(f):
+    """The Zagier step with its multiplier taken from the surd engine."""
+    a, b, c = f
+    n = surd(b, 2 * a, f.discriminant()).ceil()
+    return Form(a * n * n - b * n + c, 2 * a * n - b, a)
+
+
+def r_g_reference(f):
+    a, b, c = f
+    m = surd(b, 2 * abs(a), f.discriminant()).floor()
+    n = m if a > 0 else -m
+    return Form(a * n * n - b * n + c, 2 * a * n - b, a)
+
+
+coefficient = st.one_of(st.integers(-50, 50),
+                        st.integers(-10**40, 10**40),
+                        st.integers(10**30, 10**32).map(lambda x: -x),
+                        st.integers(10**30, 10**32))
+indefinite = st.builds(Form, coefficient, coefficient, coefficient).filter(
+    lambda f: f.is_indefinite())
+
+
+@given(indefinite)
+def test_r_z_matches_surd_reference(f):
+    assert r_z(f) == r_z_reference(f)
+    assert reducing_number(f) == surd(f.b, 2 * f.a, f.discriminant()).ceil()
+
+
+def test_r_z_reference_sees_both_signs_and_big_coefficients():
+    for f in (Form(-3, 1, 7), Form(-(10**31), 3, 10**31 + 1),
+              Form(10**35 + 1, -(10**36), -7), Form(2, -(10**31), 5)):
+        assert f.is_indefinite()
+        assert r_z(f) == r_z_reference(f)
+
+
+magnitude = st.one_of(st.integers(1, 50), st.integers(10**30, 10**40))
+
+
+@st.composite
+def g_reduced(draw):
+    a, c = draw(magnitude), -draw(magnitude)
+    if draw(st.booleans()):
+        a, c = -a, -c
+    f = Form(a, abs(a + c) + draw(magnitude), c)
+    assume(f.is_indefinite())
+    return f
+
+
+@given(g_reduced())
+def test_r_g_matches_surd_reference(f):
+    assert r_g(f) == r_g_reference(f)
+
+
+def walk_reference(f, op):
+    """orbit_to_cycle rebuilt on the public steps."""
+    step = r_z if op == "z" else r_g
+    seen, seq = {}, []
+    while f not in seen:
+        seen[f] = len(seq)
+        seq.append(f)
+        f = step(f)
+    i = seen[f]
+    return tuple(seq[:i]), tuple(seq[i:])
+
+
+walk_coefficient = st.integers(-300, 300)
+
+
+@given(st.builds(Form, walk_coefficient, walk_coefficient, walk_coefficient)
+       .filter(lambda f: f.is_indefinite()))
+def test_orbit_to_cycle_matches_public_walk(f):
+    assert tuple(orbit_to_cycle(f)) == walk_reference(f, "z")
+    if f.is_g_reduced():
+        assert tuple(orbit_to_cycle(f, "g")) == walk_reference(f, "g")
+
+
+def cycles_reference(delta, op):
+    pool = enumerate_z_reduced(delta) if op == "z" else enumerate_g_reduced(delta)
+    out, seen = [], set()
+    for f in pool:
+        if f not in seen:
+            cyc = walk_reference(f, op)[1]
+            cyc = min(cyc[i:] + cyc[:i] for i in range(len(cyc)))
+            seen.update(cyc)
+            out.append(cyc)
+    return sorted(out)
+
+
+@given(st.integers(5, 3000).filter(lambda d: math.isqrt(d) ** 2 != d),
+       st.sampled_from(("z", "g")))
+def test_cycles_match_public_walk(delta, op):
+    assert cycles(delta, op) == cycles_reference(delta, op)
+
+
+def test_boundary_checks_square_discriminants():
+    square = Form(1, 3, 2)  # delta = 1
+    for fn in (r_z, r_g, reducing_number, orbit_to_cycle, z_caliber):
+        with pytest.raises(ValueError):
+            fn(square)
+    with pytest.raises(ValueError):
+        orbit_to_cycle(Form(3, 4, -4), "g")  # Gauss-reduced shape, delta = 64
+    with pytest.raises(ValueError):
+        orbit_to_cycle(Form(1, 5, 2), "g")  # not Gauss-reduced
+    with pytest.raises(ValueError):
+        cycles(9)
+    with pytest.raises(ValueError):
+        cycles(17, "q")
+    with pytest.raises(ValueError):
+        r_z((1.5, 5, 2))
+    assert r_z(("1", "5", "2")) == Form(2, 5, 1)

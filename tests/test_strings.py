@@ -234,3 +234,40 @@ def test_alternating_necklace_representative_independence(b, data):
     r = data.draw(st.integers(0, len(b) - 1))
     rb = b[r:] + b[:r]
     assert alternating_necklace(ColoredBin(rb, (mark - r) % len(b))) == base
+
+
+def sb_bar_set(s):
+    """sb as the bar set of partial sums, read gap by gap: the slow reference."""
+    t = tuple(s)
+    bars = set()
+    acc = 0
+    for q in t[:-1]:
+        acc += q
+        bars.add(acc)
+    return "".join("1" if i in bars else "0" for i in range(1, sum(t)))
+
+
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=12))
+def test_sb_matches_bar_set_construction(s):
+    assert sb(s) == sb_bar_set(s)
+    assert sb_inv(sb(s)) == tuple(s)
+
+
+def test_check_nat_coercion():
+    t = (3, 1, 4)
+    assert check_nat(t) is t  # a tuple of ints is not rebuilt
+    assert check_nat(["3", 1]) == (3, 1)
+    for bad in ((1.5, 2), (2, 2.0), ("1.5", 2), (None, 1), ("x", 1)):
+        with pytest.raises(ValueError):
+            check_nat(bad)
+
+
+def test_string_moves_check_their_input():
+    with pytest.raises(ValueError):
+        sb((3,))
+    with pytest.raises(ValueError):
+        sb((2, 0, 1))
+    with pytest.raises(ValueError):
+        t_z((1.5, 2))
+    with pytest.raises(ValueError):
+        eta_plus((0,))
