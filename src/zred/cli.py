@@ -69,20 +69,24 @@ def _cmd_surd_cf(args) -> Result:
     return Result(_fmt_nat(q), list(q))
 
 
+# Orbits and cycles can hold many thousands of forms, so these two build
+# only the output that main prints.
+
 def _cmd_reduce(args) -> Result:
     res = orbit_to_cycle(form(args.a, args.b, args.c), args.op)
+    if args.json:
+        return Result("", {"pre_period": list(map(form_to_json, res.pre_period)),
+                           "cycle": list(map(form_to_json, res.cycle))})
     lines = [f"pre: {f}" for f in res.pre_period]
     lines.extend(f"cycle: {f}" for f in res.cycle)
-    return Result("\n".join(lines),
-                  {"pre_period": [form_to_json(f) for f in res.pre_period],
-                   "cycle": [form_to_json(f) for f in res.cycle]})
+    return Result("\n".join(lines), None)
 
 
 def _cmd_cycles(args) -> Result:
     cyc = cycles(args.delta, args.op)
-    lines = [" -> ".join(str(f) for f in c) for c in cyc]
-    return Result("\n".join(lines),
-                  [[form_to_json(f) for f in c] for c in cyc])
+    if args.json:
+        return Result("", [list(map(form_to_json, c)) for c in cyc])
+    return Result("\n".join(" -> ".join(map(str, c)) for c in cyc), None)
 
 
 def _cmd_caliber(args) -> Result:

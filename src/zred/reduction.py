@@ -91,29 +91,38 @@ def r_g(f: Form) -> Form:
     return _g_step(f, s)
 
 
+def _cycle_from(f: Form, step, s: int) -> list:
+    """The forms from f until step brings the walk back to f."""
+    cyc = [f]
+    g = step(f, s)
+    while g != f:
+        cyc.append(g)
+        g = step(g, s)
+    return cyc
+
+
 def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
     """Iterate a reduction step until a state repeats.
 
     Returns the pre-period and the cycle; r_z reaches a cycle of reduced
-    forms from any indefinite form, r_g requires a reduced start.
+    forms from any indefinite form, r_g requires a reduced start.  Both
+    steps permute the reduced forms of a discriminant, so the first
+    reduced form of the orbit starts the cycle and the walk stores only
+    the forms it returns.
     """
     f, s = _checked(f)
     _check_op(op)
-    if op == "g":
-        _check_g_reduced(f, "r_g")
-    step = _z_step if op == "z" else _g_step
-    seen: dict = {}
-    seq = []
-    g = f
-    while g not in seen:
-        seen[g] = len(seq)
-        seq.append(g)
-        g = step(g, s)
-    i = seen[g]
-    cycle = tuple(seq[i:])
+    pre = []
     if op == "z":
+        while not f.is_z_reduced():
+            pre.append(f)
+            f = _z_step(f, s)
+        cycle = _cycle_from(f, _z_step, s)
         assert all(h.is_z_reduced() for h in cycle)
-    return OrbitResult(tuple(seq[:i]), cycle)
+    else:
+        _check_g_reduced(f, "r_g")
+        cycle = _cycle_from(f, _g_step, s)
+    return OrbitResult(tuple(pre), tuple(cycle))
 
 
 def enumerate_z_reduced(delta: int) -> list:
@@ -147,11 +156,7 @@ def cycles(delta: int, op: str = "z") -> list:
     for f in map(Form._make, reduced):
         if f in seen:
             continue
-        cyc = [f]
-        g = step(f, s)
-        while g != f:
-            cyc.append(g)
-            g = step(g, s)
+        cyc = _cycle_from(f, step, s)
         i = cyc.index(min(cyc))
         cyc = cyc[i:] + cyc[:i]
         seen.update(cyc)

@@ -64,6 +64,31 @@ def test_cycles_and_caliber(capsys):
     assert (code, out) == (0, "5")
 
 
+def form_text(f):
+    return f"({', '.join(f)})"
+
+
+def test_text_and_json_list_the_same_forms(capsys):
+    # one unreduced form, then a Zagier cycle of 1001 forms
+    argv = ("reduce", "--", "1", "1", "-250000")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, "--json", *argv)
+    doc = json.loads(out)
+    assert code == 0 and len(doc["cycle"]) == 1001
+    assert text.splitlines() == (
+        [f"pre: {form_text(f)}" for f in doc["pre_period"]]
+        + [f"cycle: {form_text(f)}" for f in doc["cycle"]])
+    for op in ("z", "g"):
+        code, text, _ = run(capsys, "cycles", "20001", "--op", op)
+        assert code == 0
+        code, out, _ = run(capsys, "--json", "cycles", "20001", "--op", op)
+        doc = json.loads(out)
+        assert code == 0 and len(doc) == 4
+        assert text.splitlines() == [" -> ".join(map(form_text, c))
+                                     for c in doc]
+
+
 def test_string_maps(capsys):
     assert run(capsys, "gamma", "--", "1", "3", "-2")[1] == "3,1,1"
     assert run(capsys, "beta", "1", "5", "2")[1] == "1,3,1,1"

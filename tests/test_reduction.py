@@ -58,6 +58,83 @@ def test_enumerations_match_bruteforce():
         assert enumerate_g_reduced(delta) == brute_g(delta), delta
 
 
+# The trial-division enumerations that the pruned kernel loops replaced,
+# kept as the references they are compared against.
+
+def z_reduced_reference(delta):
+    out = []
+    d = 0
+    while d * d < delta:
+        n = delta - d * d
+        e = 1
+        while e * e < n:
+            if n % e == 0:
+                f = n // e
+                if (f - e) % 2 == 0:
+                    s = (f - e) // 2  # a + c
+                    b = (e + f) // 2
+                    if s >= d + 2 and (s - d) % 2 == 0:
+                        a = (s + d) // 2
+                        c = (s - d) // 2
+                        out.append(Form(a, b, c))
+                        if d > 0:
+                            out.append(Form(c, b, a))
+            e += 1
+        d += 1
+    return sorted(out)
+
+
+def g_reduced_reference(delta):
+    out = []
+    b = 1
+    while b * b < delta:
+        rem = delta - b * b
+        if rem % 4 == 0:
+            m = rem // 4  # = -a*c > 0
+            a = 1
+            while a * a <= m:
+                if m % a == 0:
+                    c = m // a
+                    if b > abs(a - c):
+                        out.append(Form(a, b, -c))
+                        out.append(Form(-a, b, c))
+                        if a != c:
+                            out.append(Form(c, b, -a))
+                            out.append(Form(-c, b, a))
+                a += 1
+        b += 1
+    return sorted(out)
+
+
+def nonsquare(delta):
+    return math.isqrt(delta) ** 2 != delta
+
+
+def test_enumerations_match_trial_division_on_every_small_delta():
+    for delta in filter(nonsquare, range(5, 3001)):
+        z, g = enumerate_z_reduced(delta), enumerate_g_reduced(delta)
+        assert z == z_reduced_reference(delta), delta
+        assert g == g_reduced_reference(delta), delta
+        if delta % 4 in (2, 3):
+            assert z == g == [], delta
+
+
+@given(st.integers(5, 2 * 10**5).filter(nonsquare))
+def test_enumerations_match_trial_division(delta):
+    assert enumerate_z_reduced(delta) == z_reduced_reference(delta)
+    assert enumerate_g_reduced(delta) == g_reduced_reference(delta)
+
+
+@pytest.mark.parametrize("delta, nz, ng", [
+    (2000057, 7154, 1304), (2000269, 7111, 1390),
+    (2000293, 7101, 1386), (2000297, 7042, 1076)])
+def test_enumerations_match_trial_division_near_two_million(delta, nz, ng):
+    z, g = enumerate_z_reduced(delta), enumerate_g_reduced(delta)
+    assert (len(z), len(g)) == (nz, ng)
+    assert z == z_reduced_reference(delta)
+    assert g == g_reduced_reference(delta)
+
+
 def test_enumerations_empty_off_the_form_residues():
     assert enumerate_z_reduced(7) == []
     assert enumerate_g_reduced(11) == []
