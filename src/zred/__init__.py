@@ -10,11 +10,9 @@ exact and in pure Python.
 from .contfrac import (
     QuadraticSurd,
     cf_expand,
-    ceil_surd,
     continuant,
     continuant_matrix,
     denjoy_surd,
-    floor_surd,
     is_purely_periodic_neg,
     is_purely_periodic_reg,
     neg_cf_period,
@@ -87,10 +85,10 @@ __all__ = [
     "Necklace", "OrbitResult", "PellSolution", "QuadraticSurd",
     "SUITE_IDS", "UnimodularMatrix", "VerificationReport", "act",
     "alternating_equal", "alternating_necklace", "backend", "beta",
-    "cf_expand", "ceil_surd", "class_invariants", "continuant",
+    "cf_expand", "class_invariants", "continuant",
     "continuant_matrix", "cycles", "denjoy_period", "denjoy_surd",
     "enumerate_g_reduced", "enumerate_z_reduced", "eta_minus", "eta_plus",
-    "expand_surd_oracle", "floor_surd", "form", "form_from_json",
+    "expand_surd_oracle", "form", "form_from_json",
     "form_to_json", "fundamental_solution", "gamma", "is_primitive",
     "is_purely_periodic_neg", "is_purely_periodic_reg", "knead",
     "least_rotation", "minus_four_solvable", "mu", "necklace",

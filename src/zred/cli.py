@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from .contfrac import cf_expand, denjoy_surd, neg_cf_surd, reg_cf_surd, surd
-from .forms import form, form_to_json
+from .forms import Form, form, form_to_json
 from .maps import beta, denjoy_period, gamma, mu, sigma, tau, xi
 from .oracle import SUITE_IDS, verify
 from .pell import fundamental_solution
@@ -38,8 +38,22 @@ def _natstring(text: str) -> tuple:
     return tuple(int(x) for x in parts)
 
 
-def _fmt_nat(s) -> str:
-    return ",".join(str(q) for q in s)
+def _render(value) -> Result:
+    # forms print as (a, b, c), quotient strings comma separated, and
+    # binary strings and counts as they are
+    if isinstance(value, Form):
+        return Result(str(value), form_to_json(value))
+    if isinstance(value, tuple):
+        return Result(",".join(map(str, value)), list(value))
+    return Result(str(value), value)
+
+
+def _on_form(fn):
+    return lambda args: _render(fn(form(args.a, args.b, args.c)))
+
+
+def _on_beads(fn):
+    return lambda args: _render(fn(_natstring(args.entries)))
 
 
 def _add_form_args(sub) -> None:
@@ -55,18 +69,13 @@ def _cmd_pell(args) -> Result:
 
 
 def _cmd_cf(args) -> Result:
-    q = cf_expand(args.num, args.den, args.parity)
-    return Result(_fmt_nat(q), list(q))
+    return _render(cf_expand(args.num, args.den, args.parity))
 
 
 def _cmd_surd_cf(args) -> Result:
     x = surd(args.p, args.q, args.delta)
-    if args.kind == "denjoy":
-        bits = denjoy_surd(x, args.terms)
-        return Result(bits, bits)
-    expand = reg_cf_surd if args.kind == "reg" else neg_cf_surd
-    q = expand(x, args.terms)
-    return Result(_fmt_nat(q), list(q))
+    expand = {"reg": reg_cf_surd, "neg": neg_cf_surd, "denjoy": denjoy_surd}[args.kind]
+    return _render(expand(x, args.terms))
 
 
 # Orbits and cycles can hold many thousands of forms, so these two build
@@ -87,46 +96,6 @@ def _cmd_cycles(args) -> Result:
     if args.json:
         return Result("", [list(map(form_to_json, c)) for c in cyc])
     return Result("\n".join(" -> ".join(map(str, c)) for c in cyc), None)
-
-
-def _cmd_caliber(args) -> Result:
-    n = z_caliber(form(args.a, args.b, args.c))
-    return Result(str(n), n)
-
-
-def _cmd_gamma(args) -> Result:
-    s = gamma(form(args.a, args.b, args.c))
-    return Result(_fmt_nat(s), list(s))
-
-
-def _cmd_beta(args) -> Result:
-    s = beta(form(args.a, args.b, args.c))
-    return Result(_fmt_nat(s), list(s))
-
-
-def _cmd_sigma(args) -> Result:
-    s = sigma(form(args.a, args.b, args.c))
-    return Result(s, s)
-
-
-def _cmd_mu(args) -> Result:
-    g = mu(form(args.a, args.b, args.c))
-    return Result(str(g), form_to_json(g))
-
-
-def _cmd_tau(args) -> Result:
-    g = tau(_natstring(args.entries))
-    return Result(str(g), form_to_json(g))
-
-
-def _cmd_xi(args) -> Result:
-    g = xi(_natstring(args.entries))
-    return Result(str(g), form_to_json(g))
-
-
-def _cmd_denjoy_period(args) -> Result:
-    p = denjoy_period(form(args.a, args.b, args.c))
-    return Result(p, p)
 
 
 def _cmd_verify(args) -> Result:
@@ -177,33 +146,30 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--op", choices=("z", "g"), default="z")
     s.set_defaults(handler=_cmd_cycles)
 
-    s = subs.add_parser("caliber", help="length of the form's Zagier cycle")
-    _add_form_args(s)
-    s.set_defaults(handler=_cmd_caliber)
-
-    for name, handler, blurb in (
-            ("gamma", _cmd_gamma, "bead string of a Gauss-reduced form, a > 0"),
-            ("beta", _cmd_beta, "bead string of a Zagier-reduced form"),
-            ("sigma", _cmd_sigma, "binary string of a Zagier-reduced form"),
-            ("mu", _cmd_mu, "Zagier-reduced companion of a Gauss-reduced form"),
-            ("denjoy-period", _cmd_denjoy_period,
+    for name, fn, blurb in (
+            ("caliber", z_caliber, "length of the form's Zagier cycle"),
+            ("gamma", gamma, "bead string of a Gauss-reduced form, a > 0"),
+            ("beta", beta, "bead string of a Zagier-reduced form"),
+            ("sigma", sigma, "binary string of a Zagier-reduced form"),
+            ("mu", mu, "Zagier-reduced companion of a Gauss-reduced form"),
+            ("denjoy-period", denjoy_period,
              "binary expansion period attached to a Zagier-reduced form")):
         s = subs.add_parser(name, help=blurb)
         _add_form_args(s)
-        s.set_defaults(handler=handler)
+        s.set_defaults(handler=_on_form(fn))
 
-    for name, handler, blurb in (
-            ("tau", _cmd_tau, "form built from a bead string (length >= 2)"),
-            ("xi", _cmd_xi, "Gauss-reduced form built from a bead string")):
+    for name, fn, blurb in (
+            ("tau", tau, "form built from a bead string (length >= 2)"),
+            ("xi", xi, "Gauss-reduced form built from a bead string")):
         s = subs.add_parser(name, help=blurb)
         s.add_argument("entries", help="comma or space separated positive integers")
-        s.set_defaults(handler=handler)
+        s.set_defaults(handler=_on_beads(fn))
 
     s = subs.add_parser("verify", help="run a verification suite")
     s.add_argument("--suite", choices=["all"] + SUITE_IDS, default="all")
     s.add_argument("--delta-max", type=int, default=300)
-    s.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker processes (default: ZRED_JOBS or 1)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes (default 1)")
     s.set_defaults(handler=_cmd_verify)
 
     return p

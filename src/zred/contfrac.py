@@ -17,16 +17,9 @@ from typing import Iterable, NamedTuple
 
 from . import kernel
 from .forms import as_int, check_delta
+from .strings import check_nat
 
 NatString = tuple  # tuple of positive ints (zero ends allowed where noted)
-
-
-def _as_entries(s: Iterable, what: str, allow_zero_ends: bool = False) -> tuple:
-    t = tuple(as_int(q) for q in s)
-    for i, q in enumerate(t):
-        if q < 1 and not (allow_zero_ends and q == 0 and i in (0, len(t) - 1)):
-            raise ValueError(f"{what} entries must be positive, got {t}")
-    return t
 
 
 def continuant(s: Iterable) -> int:
@@ -36,7 +29,10 @@ def continuant(s: Iterable) -> int:
     [0, q2, ...] = [q3, ...] and [..., ql-1, 0] = [..., ql-2].  Zeros in
     the interior are rejected.
     """
-    t = _as_entries(s, "continuant", allow_zero_ends=True)
+    t = tuple(as_int(q) for q in s)
+    for i, q in enumerate(t):
+        if q < 1 and not (q == 0 and i in (0, len(t) - 1)):
+            raise ValueError(f"continuant entries must be positive, got {t}")
     a, b = 1, 0
     for q in t:
         a, b = q * a + b, a
@@ -48,7 +44,7 @@ def continuant_matrix(s: Iterable) -> tuple:
 
     Equals the product of the matrices ((q, 1), (1, 0)) over the entries.
     """
-    m11, m12, m21, m22 = _continuants(_as_entries(s, "continuant"))
+    m11, m12, m21, m22 = _continuants(check_nat(s, min_len=0))
     return ((m11, m12), (m21, m22))
 
 
@@ -149,14 +145,6 @@ def surd(p: int, q: int, delta: int) -> QuadraticSurd:
     return QuadraticSurd(p, q, delta)
 
 
-def floor_surd(x: QuadraticSurd) -> int:
-    return x.floor()
-
-
-def ceil_surd(x: QuadraticSurd) -> int:
-    return x.ceil()
-
-
 def _reg_step(p: int, q: int, delta: int, s: int) -> tuple:
     a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
     p1 = a * q - p
@@ -180,26 +168,24 @@ def _term_count(n) -> int:
     return n
 
 
-def reg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
-    """First n regular continued fraction quotients of x."""
+def _expand(x: QuadraticSurd, n, step) -> tuple:
     p, q, d = x
     s = math.isqrt(d)
     out = []
     for _ in range(_term_count(n)):
-        a, p, q = _reg_step(p, q, d, s)
+        a, p, q = step(p, q, d, s)
         out.append(a)
     return tuple(out)
+
+
+def reg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
+    """First n regular continued fraction quotients of x."""
+    return _expand(x, n, _reg_step)
 
 
 def neg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n negative (ceiling) continued fraction quotients of x."""
-    p, q, d = x
-    s = math.isqrt(d)
-    out = []
-    for _ in range(_term_count(n)):
-        a, p, q = _neg_step(p, q, d, s)
-        out.append(a)
-    return tuple(out)
+    return _expand(x, n, _neg_step)
 
 
 def denjoy_surd(x: QuadraticSurd, n: int) -> str:
@@ -214,18 +200,22 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     return kernel.denjoy_bits(x.p, x.q, x.delta, n)
 
 
-def reg_cf_period(x: QuadraticSurd) -> tuple:
-    """(pre_period, period) of the regular expansion of x."""
+def _period(x: QuadraticSurd, step) -> tuple:
     p, q, d = x
     s = math.isqrt(d)
     seen: dict = {}
     quots = []
     while (p, q) not in seen:
         seen[p, q] = len(quots)
-        a, p, q = _reg_step(p, q, d, s)
+        a, p, q = step(p, q, d, s)
         quots.append(a)
     i = seen[p, q]
     return tuple(quots[:i]), tuple(quots[i:])
+
+
+def reg_cf_period(x: QuadraticSurd) -> tuple:
+    """(pre_period, period) of the regular expansion of x."""
+    return _period(x, _reg_step)
 
 
 def neg_cf_period(x: QuadraticSurd) -> tuple:
@@ -234,16 +224,7 @@ def neg_cf_period(x: QuadraticSurd) -> tuple:
     One step sends any value above 1, so the expansion is eventually
     periodic for every surd.
     """
-    p, q, d = x
-    s = math.isqrt(d)
-    seen: dict = {}
-    quots = []
-    while (p, q) not in seen:
-        seen[p, q] = len(quots)
-        a, p, q = _neg_step(p, q, d, s)
-        quots.append(a)
-    i = seen[p, q]
-    return tuple(quots[:i]), tuple(quots[i:])
+    return _period(x, _neg_step)
 
 
 def is_purely_periodic_reg(x: QuadraticSurd) -> bool:
@@ -259,9 +240,7 @@ def reg_to_denjoy(period: Iterable) -> str:
 
     Quotient q becomes 1 followed by q - 1 copies of 01.
     """
-    t = _as_entries(period, "regular period")
-    if not t:
-        raise ValueError("period must be nonempty")
+    t = check_nat(period)
     return "".join("1" + "01" * (q - 1) for q in t)
 
 

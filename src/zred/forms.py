@@ -51,6 +51,7 @@ class Form(NamedTuple):
         return Form(-self.a, self.b, -self.c)
 
     def scalar_mul(self, u: int) -> "Form":
+        u = as_int(u)
         if u < 1:
             raise ValueError("scalar must be a positive integer")
         return Form(u * self.a, u * self.b, u * self.c)
@@ -121,9 +122,10 @@ def act(f: Form, m: UnimodularMatrix) -> Form:
     Requires det(m) == 1, so the action composes: act(act(f, M), N) equals
     act(f, M @ N).
     """
+    a, b, c = map(as_int, f)
+    m = UnimodularMatrix(*map(as_int, m))
     if m.det() != 1:
         raise ValueError(f"matrix {m} is not unimodular (det {m.det()})")
-    a, b, c = f
     al, be, ga, de = m
     return Form(
         a * al * al + b * al * ga + c * ga * ga,
@@ -134,10 +136,8 @@ def act(f: Form, m: UnimodularMatrix) -> Form:
 
 def check_indefinite(f: Form) -> int:
     """Return the discriminant after checking it is positive and nonsquare."""
-    f = Form(*f)
-    d = f.discriminant()
-    if d <= 0 or math.isqrt(d) ** 2 == d:
-        raise ValueError(f"form {f} is not indefinite with nonsquare discriminant")
+    d = form(*f).discriminant()
+    nonsquare_isqrt(d)
     return d
 
 

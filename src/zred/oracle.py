@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 from .contfrac import (
     QuadraticSurd,
+    _term_count,
     continuant,
     continuant_matrix,
     denjoy_surd,
@@ -54,6 +55,7 @@ from .strings import (
     knead,
     least_rotation,
     pinch_both,
+    primitive_root,
     rotate_bin,
     sb_inv,
     t_g,
@@ -104,14 +106,6 @@ def discriminants(delta_max: int) -> list:
     """Nonsquare values 0 or 1 mod 4 up to delta_max; the ones with forms."""
     return [d for d in range(5, delta_max + 1)
             if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
-
-
-def _primitive_root(s):
-    n = len(s)
-    for d in range(1, n + 1):
-        if n % d == 0 and s[:d] * (n // d) == s:
-            return s[:d]
-    raise AssertionError("unreachable")
 
 
 # ---------------------------------------------------------------- suites
@@ -370,7 +364,7 @@ def _denjoy_work(delta):
         cases += 1
         if not is_primitive(p):
             fails.append(f"delta={delta} f={f}: period {p} is not minimal "
-                         f"(true period {_primitive_root(p)})")
+                         f"(true period {primitive_root(p)})")
     return cases, fails
 
 
@@ -583,7 +577,7 @@ def _work(unit):
     return _SUITES[tid].work(payload)
 
 
-def verify(theorem_id: str, delta_max: int, jobs=None) -> VerificationReport:
+def verify(theorem_id: str, delta_max: int, jobs: int = 1) -> VerificationReport:
     """Run one suite up to its bound and report.
 
     delta_max is the discriminant bound for sweep suites, the sample count
@@ -598,8 +592,6 @@ def verify(theorem_id: str, delta_max: int, jobs=None) -> VerificationReport:
     bound = as_int(delta_max)
     if bound < 1:
         raise ValueError("delta_max must be at least 1")
-    if jobs is None:
-        jobs = os.environ.get("ZRED_JOBS") or 1
     jobs = as_int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -653,7 +645,7 @@ def expand_surd_oracle(x: QuadraticSurd, kind: str, n: int):
             refine()
 
     quots, bits = [], []
-    for _ in range(int(n)):
+    for _ in range(_term_count(n)):
         fl = floor_of_tail()
         if kind == "reg":
             quots.append(fl)

@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .forms import check_delta
+from .forms import as_int, check_delta
 
 
 class PellSolution(NamedTuple):
@@ -30,6 +30,7 @@ def solve_pell_bruteforce(delta: int, u_max: int) -> list[PellSolution]:
     fundamental_solution, not for production use.
     """
     delta = check_delta(delta)
+    u_max = as_int(u_max)
     if u_max < 1:
         raise ValueError("u_max must be at least 1")
     out = []
@@ -69,33 +70,13 @@ def _unit_from_omega(delta: int) -> PellSolution:
     return PellSolution(t, u, eps)
 
 
-def _unit_from_sqrt(delta: int) -> PellSolution:
-    # delta = 2 or 3 mod 4: every |t^2 - delta*u^2| = 4 solution has t, u
-    # both even, so halve the problem to |x^2 - delta*y^2| = 1 and use the
-    # classical expansion of sqrt(delta) up to the first denominator 1.
-    s = math.isqrt(delta)
-    p, q = 0, 1
-    num1, num0 = 1, 0
-    den1, den0 = 0, 1
-    while True:
-        a = (p + s) // q
-        num1, num0 = a * num1 + num0, num1
-        den1, den0 = a * den1 + den0, den1
-        p = a * q - p
-        q = (delta - p * p) // q
-        if q == 1:
-            break
-    eps = num1 * num1 - delta * den1 * den1
-    assert abs(eps) == 1
-    return PellSolution(2 * num1, 2 * den1, 4 * eps)
-
-
 @lru_cache(maxsize=1 << 16)
 def fundamental_solution(delta: int) -> PellSolution:
     """Smallest-u solution of |t^2 - delta*u^2| = 4, preferring epsilon = -4.
 
     delta must be positive and not a perfect square.  Requires nothing of
-    delta mod 4; for delta = 2, 3 mod 4 the parity forces t, u even.
+    delta mod 4; for delta = 2, 3 mod 4 the parity forces t, u even, and
+    the unit is read off the reduced surd of discriminant 4*delta.
     """
     delta = check_delta(delta)
     for eps in (-4, 4):
@@ -106,7 +87,10 @@ def fundamental_solution(delta: int) -> PellSolution:
                 return PellSolution(t, 1, eps)
     if delta % 4 in (0, 1):
         return _unit_from_omega(delta)
-    return _unit_from_sqrt(delta)
+    # delta = 2, 3 mod 4: every solution has t, u even, and (t, u/2) solves
+    # the same equation for 4*delta, so the units correspond
+    t, u, eps = _unit_from_omega(4 * delta)
+    return PellSolution(t, 2 * u, eps)
 
 
 def minus_four_solvable(delta: int) -> bool:

@@ -153,15 +153,20 @@ def rotate_bin(b: str) -> str:
     return b[j + 1:] + b[: j + 1]
 
 
-def is_primitive(s) -> bool:
-    """True when the string is not a repetition of a shorter block."""
+def primitive_root(s):
+    """Shortest block whose repetition is s."""
     n = len(s)
     if n == 0:
         raise ValueError("primitivity needs a nonempty string")
     for d in range(1, n // 2 + 1):
         if n % d == 0 and s == s[:d] * (n // d):
-            return False
-    return True
+            return s[:d]
+    return s
+
+
+def is_primitive(s) -> bool:
+    """True when the string is not a repetition of a shorter block."""
+    return len(primitive_root(s)) == len(s)
 
 
 def least_rotation(s):

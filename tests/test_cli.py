@@ -1,6 +1,8 @@
 """Exercise the command line front end through main(argv)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,25 @@ def test_verify_subcommand(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["reports"][0]["theorem_id"] == "zcaliber"
+
+
+def readme_examples():
+    """(argv, transcript lines) for each `$ zred` line of README's
+    "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ zred "):
+            examples.append((shlex.split(line)[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) == 10
+    for argv, want in examples:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()) == (0, want), argv

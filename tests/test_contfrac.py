@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from zred.contfrac import (
     QuadraticSurd,
     cf_expand,
-    ceil_surd,
     continuant,
     continuant_matrix,
     denjoy_surd,
-    floor_surd,
     is_purely_periodic_neg,
     is_purely_periodic_reg,
     neg_cf_period,
@@ -200,11 +198,11 @@ def test_non_integral_input_is_rejected():
 
 def test_floor_ceil_golden_ratio():
     golden = surd(1, 2, 5)
-    assert floor_surd(golden) == 1
-    assert ceil_surd(golden) == 2
+    assert golden.floor() == 1
+    assert golden.ceil() == 2
     neg = surd(1, -2, 5)  # (1 + sqrt 5)/(-2), about -1.618
-    assert floor_surd(neg) == -2
-    assert ceil_surd(neg) == -1
+    assert neg.floor() == -2
+    assert neg.ceil() == -1
 
 
 @settings(max_examples=300)

@@ -91,6 +91,22 @@ def test_indefinite_check():
         assert not f.is_indefinite()
         with pytest.raises(ValueError):
             check_indefinite(f)
+    with pytest.raises(ValueError):
+        check_indefinite((1.5, 5, 2))
+
+
+def test_action_and_scalar_mul_check_their_input():
+    # plain tuples and decimal strings are integers; floats are rejected
+    assert act(Form(1, 5, 2), (1, 1, 0, 1)) == act(Form(1, 5, 2), T) == Form(1, 7, 8)
+    assert act(("1", "3", "-2"), T) == Form(1, 5, 2)
+    assert Form(1, 3, 1).scalar_mul("2") == Form(2, 6, 2)
+    for f, m in ((Form(1.5, 2, 1), IDENT), (Form(1, 5, 2), (1.0, 1, 0, 1)),
+                 (Form(1, 5, 2), UnimodularMatrix(1, 0.5, 0, 1))):
+        with pytest.raises(ValueError):
+            act(f, m)
+    for u in (1.5, 2.0, "1.5", None):
+        with pytest.raises(ValueError):
+            Form(1, 3, 1).scalar_mul(u)
 
 
 def test_content_scaling():

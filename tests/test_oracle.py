@@ -121,11 +121,6 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert started == [2]
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("ZRED_JOBS", "2")
-    assert verify("weightparity", 80).passed
-
-
 def test_formfrombeads_units_pin_the_known_collision():
     # tau collapses (1, 1, 1) onto the even-length string of delta 5;
     # every other string in the block round-trips
@@ -173,3 +168,10 @@ def test_engines_match_interval_oracle():
 def test_oracle_validation():
     with pytest.raises(ValueError):
         expand_surd_oracle(surd(1, 2, 5), "ternary", 5)
+    x = surd(0, 1, 2)
+    for bad in (2.9, -3, "2.9", None):
+        with pytest.raises(ValueError):
+            expand_surd_oracle(x, "reg", bad)
+        with pytest.raises(ValueError):
+            reg_cf_surd(x, bad)
+    assert expand_surd_oracle(x, "reg", "3") == reg_cf_surd(x, 3) == (1, 2, 2)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zred.pell import (
     PellSolution,
@@ -29,6 +31,42 @@ FROZEN = {
 @pytest.mark.parametrize("delta,expected", sorted(FROZEN.items()))
 def test_frozen_values(delta, expected):
     assert fundamental_solution(delta) == PellSolution(*expected)
+
+
+def unit_from_sqrt(delta):
+    # reference for delta = 2, 3 mod 4: halve to |x^2 - delta*y^2| = 1 and
+    # expand sqrt(delta) up to the first denominator 1
+    s = math.isqrt(delta)
+    p, q = 0, 1
+    num1, num0 = 1, 0
+    den1, den0 = 0, 1
+    while True:
+        a = (p + s) // q
+        num1, num0 = a * num1 + num0, num1
+        den1, den0 = a * den1 + den0, den1
+        p = a * q - p
+        q = (delta - p * p) // q
+        if q == 1:
+            break
+    eps = num1 * num1 - delta * den1 * den1
+    assert abs(eps) == 1
+    return PellSolution(2 * num1, 2 * den1, 4 * eps)
+
+
+def test_two_three_mod_four_matches_sqrt_expansion():
+    # delta +- 1 square, where 4*delta +- 4 is square and u/2 = 1
+    for delta in (2, 3, 10, 15, 26, 35, 50, 63, 999**2 + 1, 1000**2 - 1):
+        assert fundamental_solution(delta) == unit_from_sqrt(delta)
+    # 2, 3 mod 4 holds no squares
+    for delta in range(2, 20000):
+        if delta % 4 in (2, 3):
+            assert fundamental_solution(delta) == unit_from_sqrt(delta), delta
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 10**7).filter(lambda d: d % 4 in (2, 3)))
+def test_two_three_mod_four_matches_sqrt_expansion_sampled(delta):
+    assert fundamental_solution(delta) == unit_from_sqrt(delta)
 
 
 def test_solution_identity_sweep():
@@ -62,8 +100,10 @@ def test_bruteforce_ordering_and_validation():
     assert PellSolution(3, 1, 4) in sols
     with pytest.raises(ValueError):
         solve_pell_bruteforce(9, 10)
-    with pytest.raises(ValueError):
-        solve_pell_bruteforce(5, 0)
+    for bad in (0, -3, 2.5, "2.5", None):
+        with pytest.raises(ValueError):
+            solve_pell_bruteforce(5, bad)
+    assert solve_pell_bruteforce(5, "3") == solve_pell_bruteforce(5, 3)
 
 
 def test_rejects_squares_and_nonpositive():
