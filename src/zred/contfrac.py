@@ -75,19 +75,22 @@ def cf_expand(num: int, den: int, parity: str) -> tuple:
 
 
 def _cf_parity(num: int, den: int, want_odd: bool) -> tuple:
-    # cf_expand on checked input: num > den >= 1, or num == den with want_odd
+    # cf_expand on checked input: num > den >= 1, or num == den with want_odd.
+    # For num > den each Euclid step divides a larger number by a smaller
+    # one and the last divides exactly, so its quotient is at least 2 and
+    # the other parity is the split (..., q - 1, 1).
     assert num > den or (num == den and want_odd), "cf_expand core misused"
-    q = kernel.euclid_quotients(num, den)
     if num == den:
         return (1,)
-    if (len(q) % 2 == 1) != want_odd:
-        if q[-1] >= 2:
-            q[-1] -= 1
-            q.append(1)
-        else:
-            q.pop()
-            q[-1] += 1
-    return tuple(q)
+    out = []
+    while den:
+        q = num // den
+        out.append(q)
+        num, den = den, num - q * den
+    if (len(out) % 2 == 1) != want_odd:
+        out[-1] -= 1
+        out.append(1)
+    return tuple(out)
 
 
 class QuadraticSurd(NamedTuple):
@@ -168,8 +171,11 @@ def _term_count(n) -> int:
     return n
 
 
+# The expansions take x through surd once, so a triple missing the invariant
+# is rescaled and a bad one raises ValueError rather than failing a step.
+
 def _expand(x: QuadraticSurd, n, step) -> tuple:
-    p, q, d = x
+    p, q, d = surd(*x)
     s = math.isqrt(d)
     out = []
     for _ in range(_term_count(n)):
@@ -194,14 +200,14 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     Tail values stay positive, so the quotient sequence never shows two
     zeros in a row.
     """
-    n = _term_count(n)
+    x, n = surd(*x), _term_count(n)
     if x.cmp(0) < 0:
         raise ValueError("binary expansion needs a positive value")
     return kernel.denjoy_bits(x.p, x.q, x.delta, n)
 
 
 def _period(x: QuadraticSurd, step) -> tuple:
-    p, q, d = x
+    p, q, d = surd(*x)
     s = math.isqrt(d)
     seen: dict = {}
     quots = []

@@ -15,7 +15,11 @@ def backend() -> str:
 
 
 def euclid_quotients(num: int, den: int) -> list:
-    """Quotient sequence of the Euclidean algorithm on num/den (den >= 1)."""
+    """Quotient sequence of the Euclidean algorithm on num/den (den >= 1).
+
+    contfrac._cf_parity runs the same loop inline with its parity rule;
+    this list is the reference its tests compare against.
+    """
     if den < 1 or num < 1:
         raise ValueError("euclid_quotients needs positive integers")
     out = []

@@ -20,10 +20,11 @@ from .forms import Form, form, nonsquare_isqrt
 from .pell import fundamental_solution
 from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
 
-# Public maps check their input once; the cores (_automorph_z, _beta, _sigma)
-# take a checked Form.  A square discriminant passes the reducedness checks
-# (beta of (2, 5, 2) has delta = 9); fundamental_solution rejects it, and mu,
-# which needs no Pell unit, checks it itself.
+# Public maps check their input once; the cores (_automorph_z, _gamma, _beta,
+# _sigma, _mu, _denjoy_period) take a checked Form and _tau a checked tuple.
+# A square discriminant passes the reducedness checks (beta of (2, 5, 2) has
+# delta = 9); fundamental_solution rejects it, and mu, which needs no Pell
+# unit, checks it itself.
 
 
 def _automorph_z(f: Form) -> tuple:
@@ -40,6 +41,11 @@ def _z_reduced(f: Form, what: str) -> Form:
     return f
 
 
+def _gamma(f: Form) -> tuple:
+    z, u, eps = _automorph_z(f)
+    return _cf_parity(z, f.a * u, eps == -4)
+
+
 def gamma(f: Form) -> tuple:
     """Bead string of a Gauss-reduced form with a > 0.
 
@@ -49,8 +55,7 @@ def gamma(f: Form) -> tuple:
     f = form(*f)
     if not f.is_g_reduced() or f.a < 0:
         raise ValueError(f"gamma needs a Gauss-reduced form with a > 0, got {f}")
-    z, u, eps = _automorph_z(f)
-    return _cf_parity(z, f.a * u, eps == -4)
+    return _gamma(f)
 
 
 def _beta(f: Form) -> tuple:
@@ -89,6 +94,15 @@ def sigma_bar(f: Form):
     return alternating_necklace(ColoredBin(s, s.index("1")))
 
 
+def _mu(f: Form) -> Form:
+    if f.a > 0:
+        g = Form(f.a, 2 * f.a + f.b, f.a + f.b + f.c)
+    else:
+        g = Form(f.a + f.b + f.c, f.b + 2 * f.c, f.c)
+    assert g.is_z_reduced(), f"mu left the Zagier-reduced set at {f}"
+    return g
+
+
 def mu(f: Form) -> Form:
     """Zagier-reduced companion of a Gauss-reduced form.
 
@@ -100,11 +114,17 @@ def mu(f: Form) -> Form:
     if not f.is_g_reduced():
         raise ValueError(f"mu needs a Gauss-reduced form, got {f}")
     nonsquare_isqrt(f.discriminant())
-    if f.a > 0:
-        g = Form(f.a, 2 * f.a + f.b, f.a + f.b + f.c)
-    else:
-        g = Form(f.a + f.b + f.c, f.b + 2 * f.c, f.c)
-    assert g.is_z_reduced(), f"mu left the Zagier-reduced set at {f}"
+    return _mu(f)
+
+
+def _tau(t: tuple) -> Form:
+    k, k_left, k_right, k_inner = _continuants(t)
+    a = k - k_right
+    c = k - k_left
+    kk = k - k_left - k_right + k_inner
+    g = Form(a, k + kk, c)
+    assert g.discriminant() == (k - kk) ** 2 + (4 if len(t) % 2 == 0 else -4)
+    assert g.is_z_reduced(), f"tau left the Zagier-reduced set at {t}"
     return g
 
 
@@ -121,15 +141,7 @@ def tau(s) -> Form:
     K(t[:-1]), K(t[1:]) and K(t[1:-1]); lowering the first entry by one
     subtracts K(t[1:]), lowering the last subtracts K(t[:-1]).
     """
-    t = check_nat(s, min_len=2)
-    k, k_left, k_right, k_inner = _continuants(t)
-    a = k - k_right
-    c = k - k_left
-    kk = k - k_left - k_right + k_inner
-    g = Form(a, k + kk, c)
-    assert g.discriminant() == (k - kk) ** 2 + (4 if len(t) % 2 == 0 else -4)
-    assert g.is_z_reduced(), f"tau left the Zagier-reduced set at {t}"
-    return g
+    return _tau(check_nat(s, min_len=2))
 
 
 def xi(s) -> Form:
@@ -159,6 +171,10 @@ def class_invariants(f: Form) -> ClassInvariants:
     return ClassInvariants(w, len(s), "odd" if w % 2 else "even")
 
 
+def _denjoy_period(f: Form) -> str:
+    return _sigma(f).replace("0", "01")
+
+
 def denjoy_period(f: Form) -> str:
     """Binary expansion period of (b - 2a + sqrt(delta)) / (2a).
 
@@ -167,4 +183,4 @@ def denjoy_period(f: Form) -> str:
     power of g's unit, the first whose u is divisible by m, so the result
     is g's period repeated k times.
     """
-    return _sigma(_z_reduced(f, "denjoy_period")).replace("0", "01")
+    return _denjoy_period(_z_reduced(f, "denjoy_period"))

@@ -10,6 +10,12 @@ orbit walks rather than anything cached in the maps module.
 Suites shard over their discriminant range (or sample chunks) and can run
 those shards in parallel; reports merge in unit order, so failures list
 the smallest discriminant first and output is deterministic.
+
+The forms and strings a suite feeds the maps come from the reduced-form
+enumerations, from reduction steps on them, or from product, so they are
+valid by construction: suites call the unchecked cores (_beta, _gamma,
+_z_step, ...) and take isqrt(delta) once per unit.  The cores keep their
+asserts, and the boundary tests of each module cover the public checks.
 """
 
 from __future__ import annotations
@@ -38,15 +44,15 @@ from .contfrac import (
     surd,
 )
 from .forms import Form, UnimodularMatrix, act, as_int
-from .maps import beta, denjoy_period, gamma, mu, sigma, tau
+from .maps import _beta, _denjoy_period, _gamma, _mu, _sigma, _tau
 from .pell import fundamental_solution
 from .reduction import (
+    _g_step,
+    _z_number,
+    _z_step,
     enumerate_g_reduced,
     enumerate_z_reduced,
     orbit_to_cycle,
-    r_g,
-    r_z,
-    reducing_number,
 )
 from .strings import (
     eta_minus,
@@ -116,11 +122,12 @@ def _delta_units(tid):
 
 def _rotation_work(delta):
     cases, fails = 0, []
+    s = math.isqrt(delta)
     zf = enumerate_z_reduced(delta)
-    sig = {f: sigma(f) for f in zf}
+    sig = {f: _sigma(f) for f in zf}
     for f in zf:
         cases += 1
-        got, want = rotate_bin(sig[f]), sig[r_z(f)]
+        got, want = rotate_bin(sig[f]), sig[_z_step(f, s)]
         if got != want:
             fails.append(f"delta={delta} f={f}: rotate_bin(sigma)={got} "
                          f"but sigma(r_z)={want}")
@@ -133,7 +140,7 @@ def _xi_plus_work(delta):
         if f.a < 0:
             continue
         cases += 1
-        got, want = beta(mu(f)), eta_plus(gamma(f))
+        got, want = _beta(_mu(f)), eta_plus(_gamma(f))
         if got != want:
             fails.append(f"delta={delta} f={f}: beta(mu)={got} eta+(gamma)={want}")
     return cases, fails
@@ -145,7 +152,7 @@ def _xi_minus_work(delta):
         if f.a > 0:
             continue
         cases += 1
-        got, want = beta(mu(f)), eta_minus(gamma(f.rho()))
+        got, want = _beta(_mu(f)), eta_minus(_gamma(f.rho()))
         if got != want:
             fails.append(f"delta={delta} f={f}: beta(mu)={got} eta-(gamma rho)={want}")
     return cases, fails
@@ -178,7 +185,7 @@ def _beads_work(payload):
         d = payload[1]
         for f in enumerate_z_reduced(d):
             cases += 1
-            g = tau(beta(f))
+            g = _tau(_beta(f))
             if g != f:
                 fails.append(f"delta={d} f={f}: tau(beta(f))={g}")
     else:
@@ -186,15 +193,16 @@ def _beads_work(payload):
         for rest in product(range(1, 7), repeat=l - 1):
             s = (q1,) + rest
             cases += 1
-            got = beta(tau(s))
+            got = _beta(_tau(s))
             if got != s:
                 fails.append(f"s={s}: beta(tau(s))={got} "
-                             f"(delta={tau(s).discriminant()})")
+                             f"(delta={_tau(s).discriminant()})")
     return cases, fails
 
 
 def _reduction_work(delta):
     cases, fails = 0, []
+    r = math.isqrt(delta)
 
     def check(tag, f, got, want):
         nonlocal cases
@@ -205,30 +213,31 @@ def _reduction_work(delta):
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
-        s = gamma(f)
-        f1 = r_g(f)
-        f2 = r_g(f1)
-        mf = mu(f)
-        check("gamma_rho_rg", f, gamma(f1.rho()), t_g(s))
-        check("gamma_rg2", f, gamma(f2), t_g(t_g(s)))
-        check("mu_rg", f, mu(f1), r_z(mf))
+        s = _gamma(f)
+        f1 = _g_step(f, r)
+        f2 = _g_step(f1, r)
+        mf = _mu(f)
+        check("gamma_rho_rg", f, _gamma(f1.rho()), t_g(s))
+        check("gamma_rg2", f, _gamma(f2), t_g(t_g(s)))
+        check("mu_rg", f, _mu(f1), _z_step(mf, r))
         h = mf
         for _ in range(s[1 % len(s)]):
-            h = r_z(h)
-        check("mu_rg2", f, mu(f2), h)
+            h = _z_step(h, r)
+        check("mu_rg2", f, _mu(f2), h)
     for g in enumerate_z_reduced(delta):
-        check("beta_rz", g, beta(r_z(g)), t_z(beta(g)))
+        check("beta_rz", g, _beta(_z_step(g, r)), t_z(_beta(g)))
     return cases, fails
 
 
 def _firstcoeff_work(delta):
     cases, fails = 0, []
+    s = math.isqrt(delta)
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
         cases += 1
-        m = UnimodularMatrix(gamma(f)[0], 1, -1, 0)
-        got, want = act(f, m), r_g(f)
+        m = UnimodularMatrix(_gamma(f)[0], 1, -1, 0)
+        got, want = act(f, m), _g_step(f, s)
         if got != want:
             fails.append(f"delta={delta} f={f}: f|M(q1)={got} r_g={want}")
     return cases, fails
@@ -240,14 +249,14 @@ def _reversal_work(delta):
         if f.a > 0:
             continue
         cases += 1
-        got = gamma(f.reverse())
-        want = tuple(reversed(gamma(f.rho())))
+        got = _gamma(f.reverse())
+        want = tuple(reversed(_gamma(f.rho())))
         if got != want:
             fails.append(f"delta={delta} f={f}: gamma(reverse)={got} "
                          f"reversed(gamma(rho))={want}")
     for g in enumerate_z_reduced(delta):
         cases += 1
-        got, want = beta(g.reverse()), tuple(reversed(beta(g)))
+        got, want = _beta(g.reverse()), tuple(reversed(_beta(g)))
         if got != want:
             fails.append(f"delta={delta} g={g}: beta(reverse)={got} "
                          f"reversed(beta)={want}")
@@ -259,16 +268,17 @@ _SWAP = UnimodularMatrix(-1, 1, -1, 0)
 
 def _mu_fiber_work(delta):
     cases, fails = 0, []
+    s = math.isqrt(delta)
     plus, minus = {}, {}
     for f in enumerate_g_reduced(delta):
-        (plus if f.a > 0 else minus)[mu(f)] = f
+        (plus if f.a > 0 else minus)[_mu(f)] = f
     for h, g in minus.items():
         f0 = act(g, _SWAP)
         cases += 1
         if f0.is_g_reduced() and f0.a > 0:
-            if mu(f0) != h or r_g(g) != f0 or plus.get(h) != f0:
+            if _mu(f0) != h or _g_step(g, s) != f0 or plus.get(h) != f0:
                 fails.append(f"delta={delta} g={g}: fiber partner {f0} "
-                             f"mismatch (mu={mu(f0) if f0.is_g_reduced() else None})")
+                             f"mismatch (mu={_mu(f0)})")
         else:
             if h in plus:
                 fails.append(f"delta={delta} g={g}: mu collides with {plus[h]} "
@@ -276,7 +286,7 @@ def _mu_fiber_work(delta):
     # image characterization: h has a G+/G- preimage under mu exactly when
     # its bead string starts/ends with 1
     for h in enumerate_z_reduced(delta):
-        b = beta(h)
+        b = _beta(h)
         plus_pre = Form(h.a, h.b - 2 * h.a, h.a - h.b + h.c)
         minus_pre = Form(h.a - h.b + h.c, h.b - 2 * h.c, h.c)
         cases += 2
@@ -299,7 +309,7 @@ def _primitivity_work(delta):
     for f in enumerate_z_reduced(delta):
         cases += 1
         if f.is_primitive():
-            s = sigma(f)
+            s = _sigma(f)
             if not is_primitive(s):
                 fails.append(f"delta={delta} f={f}: sigma={s} is a repetition")
             elif s in seen:
@@ -309,8 +319,8 @@ def _primitivity_work(delta):
                 seen[s] = f
         pre = Form(f.a, f.b - 2 * f.a, f.a - f.b + f.c)
         in_image = pre.is_g_reduced() and pre.a > 0
-        if in_image != (beta(f)[0] == 1):
-            fails.append(f"delta={delta} f={f}: beta={beta(f)} disagrees "
+        if in_image != (_beta(f)[0] == 1):
+            fails.append(f"delta={delta} f={f}: beta={_beta(f)} disagrees "
                          f"with mu(G+) membership")
     return cases, fails
 
@@ -320,7 +330,7 @@ def _weightparity_work(delta):
     eps = fundamental_solution(delta).epsilon
     for f in enumerate_z_reduced(delta):
         cases += 1
-        w = sigma(f).count("1")
+        w = _sigma(f).count("1")
         if (w % 2 == 1) != (eps == -4):
             fails.append(f"delta={delta} f={f}: weight {w} vs epsilon {eps:+d}")
     return cases, fails
@@ -341,7 +351,7 @@ def _zcaliber_work(length):
         classes = {}
         for r in range(length):
             rot = s[r:] + s[:r]
-            orbit = orbit_to_cycle(tau(sb_inv(rot))).cycle
+            orbit = orbit_to_cycle(_tau(sb_inv(rot))).cycle
             classes[min(orbit)] = len(orbit)
         want_classes = 1 if s.count("1") % 2 == 1 else 2
         if len(classes) != want_classes or sum(classes.values()) != length:
@@ -354,10 +364,10 @@ def _zcaliber_work(length):
 def _denjoy_work(delta):
     cases, fails = 0, []
     for f in enumerate_z_reduced(delta):
-        p = denjoy_period(f)
-        x = surd(f.b - 2 * f.a, 2 * f.a, delta)
+        p = _denjoy_period(f)
         cases += 1
-        got = denjoy_surd(x, 3 * len(p))
+        # denjoy_surd takes the triple through surd itself
+        got = denjoy_surd((f.b - 2 * f.a, 2 * f.a, delta), 3 * len(p))
         if got != p * 3:
             fails.append(f"delta={delta} f={f}: expansion {got} does not "
                          f"repeat period {p}")
@@ -376,6 +386,7 @@ def _lgz_units(delta_max):
 
 def _lgz_forms(delta):
     cases, fails = 0, []
+    s = math.isqrt(delta)
     for f in enumerate_z_reduced(delta):
         x = surd(f.b, 2 * f.a, delta)
         cases += 1
@@ -385,7 +396,7 @@ def _lgz_forms(delta):
                          f"negative characterization")
         cases += 1
         cyc = orbit_to_cycle(f).cycle
-        want = tuple(reducing_number(g) for g in cyc)
+        want = tuple(_z_number(g.a, g.b, s) for g in cyc)
         if neg_cf_period(x) != ((), want):
             fails.append(f"delta={delta} f={f}: negative period "
                          f"{neg_cf_period(x)} vs reducing numbers {want}")
@@ -400,9 +411,9 @@ def _lgz_forms(delta):
                          f"regular characterization")
         if f.is_primitive():
             cases += 1
-            if reg_cf_period(x) != ((), gamma(f)):
+            if reg_cf_period(x) != ((), _gamma(f)):
                 fails.append(f"delta={delta} f={f}: regular period "
-                             f"{reg_cf_period(x)} vs gamma {gamma(f)}")
+                             f"{reg_cf_period(x)} vs gamma {_gamma(f)}")
     return cases, fails
 
 

@@ -222,11 +222,11 @@ def necklace(b: str) -> Necklace:
 
 
 def _greens(x: ColoredBin) -> list:
-    bits = check_bin(x.bits, min_weight=1)
-    if not (0 <= x.green < len(bits)) or bits[x.green] != "1":
+    bits, green = check_bin(x.bits, min_weight=1), as_int(x.green)
+    if not (0 <= green < len(bits)) or bits[green] != "1":
         raise ValueError(f"marked position must hold a 1, got {x}")
     ones = [i for i, ch in enumerate(bits) if ch == "1"]
-    k = ones.index(x.green)
+    k = ones.index(green)
     # walk the ones cyclically from the mark; every second one shares its color
     return [ones[(k + j) % len(ones)] for j in range(0, len(ones), 2)]
 

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zred.contfrac import (
     QuadraticSurd,
+    _cf_parity,
     cf_expand,
     continuant,
     continuant_matrix,
@@ -23,6 +24,8 @@ from zred.contfrac import (
     reg_to_denjoy,
     surd,
 )
+from zred.kernel import euclid_quotients
+from zred.oracle import expand_surd_oracle
 
 nat = st.lists(st.integers(1, 9), min_size=1, max_size=10).map(tuple)
 
@@ -145,6 +148,53 @@ def test_cf_expand_ignores_common_factors():
     assert cf_expand(18, 14, "odd") == cf_expand(9, 7, "odd")
 
 
+def cf_parity_reference(num, den, want_odd):
+    """The Euclid list first, then its parity fixed at the end.
+
+    The fix handles a last quotient of 1 too, which the folded loop in
+    _cf_parity assumes never happens.
+    """
+    q = euclid_quotients(num, den)
+    if num == den:
+        return (1,)
+    if (len(q) % 2 == 1) != want_odd:
+        if q[-1] >= 2:
+            q[-1] -= 1
+            q.append(1)
+        else:
+            q.pop()
+            q[-1] += 1
+    return tuple(q)
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 10**60), st.integers(1, 10**60), st.booleans())
+@example(1, 1, True)
+@example(7, 7, True)
+@example(2, 1, True)
+@example(2, 1, False)
+@example(10**60, 10**60 - 1, True)
+@example(10**60, 10**60 - 1, False)
+def test_cf_parity_matches_euclid_then_fix(a, b, want_odd):
+    num, den = max(a, b), min(a, b)
+    if num == den and not want_odd:
+        return
+    got = _cf_parity(num, den, want_odd)
+    assert got == cf_parity_reference(num, den, want_odd)
+    assert (len(got) % 2 == 1) == want_odd
+
+
+def test_cf_parity_splits_the_last_quotient():
+    # both parities, with one Euclid quotient and with several
+    assert euclid_quotients(6, 2) == [3]
+    assert _cf_parity(6, 2, True) == (3,)
+    assert _cf_parity(6, 2, False) == (2, 1)
+    assert euclid_quotients(9, 7) == [1, 3, 2]
+    assert _cf_parity(9, 7, True) == (1, 3, 2)
+    assert _cf_parity(9, 7, False) == (1, 3, 1, 1)
+    assert _cf_parity(4, 4, True) == (1,)
+
+
 # --------------------------------------------------------------------- surds
 
 def test_surd_invariant_rescaling():
@@ -162,6 +212,37 @@ def test_surd_validation():
         surd(1, 2, 16)
     with pytest.raises(ValueError):
         surd(1, 2, -3)
+
+
+def test_expansions_take_raw_triples_through_surd():
+    # (1 + sqrt(6))/2 built without surd: 2 does not divide 6 - 1
+    raw = QuadraticSurd(1, 2, 6)
+    x = surd(*raw)
+    assert x == (2, 4, 24)
+    assert reg_cf_surd(raw, 8) == reg_cf_surd(x, 8) == \
+        expand_surd_oracle(raw, "reg", 8) == (1, 1, 2, 1, 1, 1, 2, 1)
+    assert neg_cf_surd(raw, 8) == neg_cf_surd(x, 8) == \
+        expand_surd_oracle(raw, "neg", 8)
+    assert denjoy_surd(raw, 20) == denjoy_surd(x, 20) == \
+        expand_surd_oracle(raw, "denjoy", 20)
+    assert reg_cf_period(raw) == reg_cf_period(x)
+    assert neg_cf_period(raw) == neg_cf_period(x)
+    assert is_purely_periodic_reg(raw) == is_purely_periodic_reg(x)
+    assert is_purely_periodic_neg(raw) == is_purely_periodic_neg(x)
+    # plain tuples are accepted as well
+    assert reg_cf_surd((1, 2, 6), 8) == reg_cf_surd(x, 8)
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2, 5), (1, 2, 5.0), (1, 2, 16),
+                                 (1, 0, 5)])
+def test_expansions_reject_bad_triples_with_value_error(bad):
+    for call in (lambda: reg_cf_surd(bad, 3), lambda: neg_cf_surd(bad, 3),
+                 lambda: denjoy_surd(bad, 3), lambda: reg_cf_period(bad),
+                 lambda: neg_cf_period(bad),
+                 lambda: is_purely_periodic_reg(bad),
+                 lambda: is_purely_periodic_neg(bad)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_expansions_reject_negative_term_counts():

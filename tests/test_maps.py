@@ -18,6 +18,12 @@ from zred.contfrac import continuant
 from zred.forms import Form
 from zred.maps import (
     ClassInvariants,
+    _beta,
+    _denjoy_period,
+    _gamma,
+    _mu,
+    _sigma,
+    _tau,
     beta,
     class_invariants,
     denjoy_period,
@@ -28,6 +34,7 @@ from zred.maps import (
     tau,
     xi,
 )
+from zred.oracle import discriminants
 from zred.reduction import enumerate_g_reduced, enumerate_z_reduced, orbit_to_cycle
 from zred.strings import sb, sb_inv
 
@@ -234,6 +241,27 @@ def test_tau_one_pass_on_ones_and_pairs():
     for l in range(2, 7):
         for s in product((1, 2), repeat=l):
             assert tau(s) == tau_four_continuants(s), s
+
+
+# ------------------------------------------ cores against the public maps
+
+def test_cores_match_public_maps_on_every_reduced_form():
+    # the verify suites call the cores on enumerated forms; the public maps
+    # add only their checks, so both must agree on every reduced form
+    for delta in discriminants(1000):
+        for f in enumerate_g_reduced(delta):
+            assert _mu(f) == mu(f), f
+            if f.a > 0:
+                assert _gamma(f) == gamma(f), f
+        for f in enumerate_z_reduced(delta):
+            assert _beta(f) == beta(f), f
+            assert _sigma(f) == sigma(f), f
+            assert _denjoy_period(f) == denjoy_period(f), f
+
+
+@given(st.lists(entry, min_size=2, max_size=12).map(tuple))
+def test_tau_core_matches_tau(t):
+    assert _tau(t) == tau(t)
 
 
 # ------------------------------------------------------- boundary checks

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from zred.contfrac import surd
 from zred.forms import Form
+from zred.oracle import discriminants
 from zred.reduction import (
+    _g_step,
+    _z_number,
+    _z_step,
     cycles,
     enumerate_g_reduced,
     enumerate_z_reduced,
@@ -329,6 +333,18 @@ def cycles_reference(delta, op):
        st.sampled_from(("z", "g")))
 def test_cycles_match_public_walk(delta, op):
     assert cycles(delta, op) == cycles_reference(delta, op)
+
+
+def test_cores_match_public_steps_on_every_reduced_form():
+    # the verify suites take s = isqrt(delta) once and call the cores
+    for delta in discriminants(1000):
+        s = math.isqrt(delta)
+        for f in enumerate_z_reduced(delta):
+            assert _z_step(f, s) == r_z(f), f
+            assert _z_number(f.a, f.b, s) == reducing_number(f), f
+        for f in enumerate_g_reduced(delta):
+            assert _g_step(f, s) == r_g(f), f
+            assert _z_number(f.a, f.b, s) == reducing_number(f), f
 
 
 def test_boundary_checks_square_discriminants():

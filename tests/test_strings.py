@@ -225,6 +225,17 @@ def test_alternating_necklace_validation():
         alternating_necklace(ColoredBin("1001", 7))
 
 
+def test_alternating_necklace_coerces_the_mark():
+    # the mark goes through as_int: a float is rejected, not used as an index
+    with pytest.raises(ValueError):
+        alternating_necklace(ColoredBin("101", 0.0))
+    with pytest.raises(ValueError):
+        alternating_equal(ColoredBin("101", 2.0), ColoredBin("101", 0))
+    # a decimal string is an integer at the boundary, as everywhere else
+    assert alternating_necklace(ColoredBin("101", "0")) == \
+        alternating_necklace(ColoredBin("101", 0))
+
+
 @given(bin1, st.data())
 def test_alternating_necklace_representative_independence(b, data):
     ones = [i for i, ch in enumerate(b) if ch == "1"]
