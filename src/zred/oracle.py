@@ -55,6 +55,7 @@ from .reduction import (
     orbit_to_cycle,
 )
 from .strings import (
+    _sb,
     eta_minus,
     eta_plus,
     is_primitive,
@@ -120,6 +121,13 @@ def _delta_units(tid):
     return lambda delta_max: [(tid, d) for d in discriminants(delta_max)]
 
 
+def _at(table, f):
+    # table[f] for a form the sweep enumerated; a step that left the reduced
+    # set gets a note naming its form, which equals no map value, so the
+    # check records a failure and the sweep goes on
+    return table[f] if f in table else f"{f}, which is not reduced"
+
+
 def _rotation_work(delta):
     cases, fails = 0, []
     s = math.isqrt(delta)
@@ -127,7 +135,7 @@ def _rotation_work(delta):
     sig = {f: _sigma(f) for f in zf}
     for f in zf:
         cases += 1
-        got, want = rotate_bin(sig[f]), sig[_z_step(f, s)]
+        got, want = rotate_bin(sig[f]), _at(sig, _z_step(f, s))
         if got != want:
             fails.append(f"delta={delta} f={f}: rotate_bin(sigma)={got} "
                          f"but sigma(r_z)={want}")
@@ -210,22 +218,22 @@ def _reduction_work(delta):
         if got != want:
             fails.append(f"delta={delta} f={f} [{tag}]: got {got} want {want}")
 
-    for f in enumerate_g_reduced(delta):
-        if f.a < 0:
-            continue
-        s = _gamma(f)
+    # each map is taken once per form and looked up after a step
+    gam = {f: _gamma(f) for f in enumerate_g_reduced(delta) if f.a > 0}
+    bet = {g: _beta(g) for g in enumerate_z_reduced(delta)}
+    for f, s in gam.items():
         f1 = _g_step(f, r)
         f2 = _g_step(f1, r)
         mf = _mu(f)
-        check("gamma_rho_rg", f, _gamma(f1.rho()), t_g(s))
-        check("gamma_rg2", f, _gamma(f2), t_g(t_g(s)))
+        check("gamma_rho_rg", f, _at(gam, f1.rho()), t_g(s))
+        check("gamma_rg2", f, _at(gam, f2), t_g(t_g(s)))
         check("mu_rg", f, _mu(f1), _z_step(mf, r))
         h = mf
         for _ in range(s[1 % len(s)]):
             h = _z_step(h, r)
         check("mu_rg2", f, _mu(f2), h)
-    for g in enumerate_z_reduced(delta):
-        check("beta_rz", g, _beta(_z_step(g, r)), t_z(_beta(g)))
+    for g, b in bet.items():
+        check("beta_rz", g, _at(bet, _z_step(g, r)), t_z(b))
     return cases, fails
 
 
@@ -245,18 +253,27 @@ def _firstcoeff_work(delta):
 
 def _reversal_work(delta):
     cases, fails = 0, []
-    for f in enumerate_g_reduced(delta):
+    # a G- form's reverse and rho are both G+, so gamma is taken once per
+    # G+ form and beta once per Zagier-reduced form
+    gf = enumerate_g_reduced(delta)
+    gam = {f: _gamma(f) for f in gf if f.a > 0}
+    for f in gf:
         if f.a > 0:
             continue
         cases += 1
-        got = _gamma(f.reverse())
-        want = tuple(reversed(_gamma(f.rho())))
+        fr, fp = f.reverse(), f.rho()
+        if fr not in gam or fp not in gam:
+            fails.append(f"delta={delta} f={f}: reverse {fr} or rho {fp} "
+                         f"is not reduced")
+            continue
+        got, want = gam[fr], tuple(reversed(gam[fp]))
         if got != want:
             fails.append(f"delta={delta} f={f}: gamma(reverse)={got} "
                          f"reversed(gamma(rho))={want}")
-    for g in enumerate_z_reduced(delta):
+    bet = {g: _beta(g) for g in enumerate_z_reduced(delta)}
+    for g, b in bet.items():
         cases += 1
-        got, want = _beta(g.reverse()), tuple(reversed(_beta(g)))
+        got, want = _at(bet, g.reverse()), tuple(reversed(b))
         if got != want:
             fails.append(f"delta={delta} g={g}: beta(reverse)={got} "
                          f"reversed(beta)={want}")
@@ -308,8 +325,9 @@ def _primitivity_work(delta):
     seen = {}
     for f in enumerate_z_reduced(delta):
         cases += 1
+        b = _beta(f)
         if f.is_primitive():
-            s = _sigma(f)
+            s = _sb(b)
             if not is_primitive(s):
                 fails.append(f"delta={delta} f={f}: sigma={s} is a repetition")
             elif s in seen:
@@ -319,8 +337,8 @@ def _primitivity_work(delta):
                 seen[s] = f
         pre = Form(f.a, f.b - 2 * f.a, f.a - f.b + f.c)
         in_image = pre.is_g_reduced() and pre.a > 0
-        if in_image != (_beta(f)[0] == 1):
-            fails.append(f"delta={delta} f={f}: beta={_beta(f)} disagrees "
+        if in_image != (b[0] == 1):
+            fails.append(f"delta={delta} f={f}: beta={b} disagrees "
                          f"with mu(G+) membership")
     return cases, fails
 

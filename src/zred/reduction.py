@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import kernel
+from .contfrac import _reg_step
 from .forms import Form, as_int, check_delta, form, nonsquare_isqrt
 
 
@@ -91,14 +92,31 @@ def r_g(f: Form) -> Form:
     return _g_step(f, s)
 
 
-def _cycle_from(f: Form, step, s: int) -> list:
-    """The forms from f until step brings the walk back to f."""
+def _cycle_from(f: Form, s: int, op: str) -> list:
+    """The forms of op's cycle through f, which must be op-reduced.
+
+    Steps (a, b, c) as plain ints with op's multiplier and builds each Form
+    once, checking it reduced as it is made; the walk ends when the step
+    brings back f.  On the Zagier cycle a > 0, so its multiplier is the
+    floor of (b + s) / (2a) plus one.
+    """
+    a, b, c = f
+    a0, b0 = a, b
+    z = op == "z"
+    new = tuple.__new__
     cyc = [f]
-    g = step(f, s)
-    while g != f:
-        cyc.append(g)
-        g = step(g, s)
-    return cyc
+    while True:
+        if z:
+            n = (b + s) // (2 * a) + 1
+        else:
+            n = (b + s) // (2 * a) if a > 0 else -((b + s) // (-2 * a))
+        a, b, c = a * n * n - b * n + c, 2 * a * n - b, a
+        if a == a0 and b == b0:  # c follows from a, b and delta
+            return cyc
+        assert ((a > 0 and c > 0 and b > a + c) if z
+                else (a * c < 0 and b > abs(a + c))), \
+            f"{'Zagier' if z else 'Gauss'} step left the reduced set at {cyc[-1]}"
+        cyc.append(new(Form, (a, b, c)))
 
 
 def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
@@ -117,12 +135,9 @@ def orbit_to_cycle(f: Form, op: str = "z") -> OrbitResult:
         while not f.is_z_reduced():
             pre.append(f)
             f = _z_step(f, s)
-        cycle = _cycle_from(f, _z_step, s)
-        assert all(h.is_z_reduced() for h in cycle)
     else:
         _check_g_reduced(f, "r_g")
-        cycle = _cycle_from(f, _g_step, s)
-    return OrbitResult(tuple(pre), tuple(cycle))
+    return OrbitResult(tuple(pre), tuple(_cycle_from(f, s, op)))
 
 
 def enumerate_z_reduced(delta: int) -> list:
@@ -147,16 +162,13 @@ def cycles(delta: int, op: str = "z") -> list:
     _check_op(op)
     d = as_int(delta)
     s = nonsquare_isqrt(d)
-    if op == "z":
-        reduced, step = kernel.z_reduced_forms(d), _z_step
-    else:
-        reduced, step = kernel.g_reduced_forms(d), _g_step
+    reduced = kernel.z_reduced_forms(d) if op == "z" else kernel.g_reduced_forms(d)
     seen = set()
     out = []
     for f in map(Form._make, reduced):
         if f in seen:
             continue
-        cyc = _cycle_from(f, step, s)
+        cyc = _cycle_from(f, s, op)
         i = cyc.index(min(cyc))
         cyc = cyc[i:] + cyc[:i]
         seen.update(cyc)
@@ -166,5 +178,39 @@ def cycles(delta: int, op: str = "z") -> list:
 
 
 def z_caliber(f: Form) -> int:
-    """Length of the Zagier cycle attached to f's class."""
-    return len(orbit_to_cycle(f, "z").cycle)
+    """Length of the Zagier cycle attached to f's class.
+
+    The rule: expand w = (b + sqrt(delta)) / (2a) as a regular continued
+    fraction [a0; a1, a2, ...] and take one period of it.  The caliber is
+    the sum of the period's quotients at odd positions when the period
+    length is even, and the sum of all its quotients when it is odd.
+
+    Why it holds: r_z sends w to 1/(n - w), so f's Zagier orbit is the
+    tail sequence of the negative continued fraction of w, and the caliber
+    is that expansion's period length.  The negative expansion of
+    [a0; a1, a2, ...] is a0 + 1 and then, for each pair (a_2k-1, a_2k),
+    a_2k-1 - 1 twos and a_2k + 2 (the rule of neg_to_reg_stream, read
+    backwards).  So each regular quotient at an odd position unfolds into
+    that many Zagier steps.  An odd-length regular period comes back with
+    its positions swapped, so the Zagier period spans it twice.
+
+    Cost: regular steps on the state (p, q) = (b, 2a), where q already
+    divides delta - p^2 = -4ac, until the state is reduced (w > 1 and
+    -1 < w' < 0), then one period back to that state.  That is the regular
+    pre-period plus one period of steps in O(1) memory; no Zagier walk.
+    """
+    f, s = _checked(f)
+    delta = f.discriminant()
+    p, q = f.b, 2 * f.a
+    j = 0
+    while not (0 < q <= p + s and p <= s < p + q):
+        _, p, q = _reg_step(p, q, delta, s)
+        j += 1
+    p0, q0, j0 = p, q, j
+    sums = [0, 0]
+    while True:
+        a, p, q = _reg_step(p, q, delta, s)
+        sums[j % 2] += a
+        j += 1
+        if p == p0 and q == q0:
+            return sums[1] if (j - j0) % 2 == 0 else sums[0] + sums[1]

@@ -181,7 +181,7 @@ def readme_examples():
 
 def test_readme_examples(capsys):
     examples = readme_examples()
-    assert len(examples) == 10
+    assert len(examples) == 11
     for argv, want in examples:
         code, out, _ = run(capsys, *argv)
         assert (code, out.splitlines()) == (0, want), argv

@@ -1,11 +1,15 @@
 """The verification harness itself: reports, sweeps, and the slow oracle."""
 
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
+from zred import oracle
 from zred.contfrac import denjoy_surd, neg_cf_surd, reg_cf_surd, surd
+from zred.forms import Form
 from zred.oracle import (
     SUITE_IDS,
     VerificationReport,
@@ -142,6 +146,46 @@ def test_denjoy_suite_red_cases_are_exactly_imprimitive_minimality():
     # scaled forms repeat the primitive period; nothing else breaks
     rep = verify("denjoy", 60)
     assert all("not minimal" in f for f in rep.failures)
+
+
+# (cases, failure_count, sha256 of the JSON failure list) of every suite but
+# formfrombeads at delta_max=300; a change to any report shows up here
+_NO_FAILURES = hashlib.sha256(b"[]").hexdigest()
+GOLDEN_300 = {
+    "rotation": (3248, 0, _NO_FAILURES),
+    "xi_diagram_plus": (938, 0, _NO_FAILURES),
+    "xi_diagram_minus": (938, 0, _NO_FAILURES),
+    "reductionrelation": (7000, 0, _NO_FAILURES),
+    "firstcoefficient": (938, 0, _NO_FAILURES),
+    "reversal": (4186, 0, _NO_FAILURES),
+    "mu_fiber": (7434, 0, _NO_FAILURES),
+    "primitivity": (3248, 0, _NO_FAILURES),
+    "weightparity": (3248, 0, _NO_FAILURES),
+    "zcaliber": (126, 0, _NO_FAILURES),
+    "denjoy": (6496, 189,
+               "900fa391ae773b1b7f8513de45b5e4a69f652510095c71da276cadcf77984ddf"),
+    "lgz": (9278, 0, _NO_FAILURES),
+    "continuant_identities": (2974, 0, _NO_FAILURES),
+    "tz_knead": (2778, 0, _NO_FAILURES),
+}
+
+
+def test_golden_reports_at_300():
+    assert sorted(GOLDEN_300) == sorted(set(SUITE_IDS) - {"formfrombeads"})
+    for tid, want in GOLDEN_300.items():
+        rep = verify(tid, 300)
+        digest = hashlib.sha256(json.dumps(rep.failures).encode()).hexdigest()
+        assert (rep.cases, rep.failure_count, digest) == want, tid
+
+
+def test_step_off_the_reduced_set_is_a_recorded_failure(monkeypatch):
+    # a broken Zagier step must show up in the report, not end the sweep
+    # with a KeyError or an AssertionError
+    monkeypatch.setattr(oracle, "_z_step", lambda f, s: Form(f.a, -f.b, f.c))
+    for tid in ("rotation", "reductionrelation"):
+        rep = verify(tid, 40)
+        assert rep.failure_count > 0, tid
+        assert any("is not reduced" in f for f in rep.failures), tid
 
 
 def _random_surd(rng):

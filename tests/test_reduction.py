@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from zred.contfrac import surd
 from zred.forms import Form
+from zred.maps import tau
 from zred.oracle import discriminants
+from zred.strings import is_primitive
 from zred.reduction import (
     _g_step,
     _z_number,
@@ -345,6 +347,32 @@ def test_cores_match_public_steps_on_every_reduced_form():
         for f in enumerate_g_reduced(delta):
             assert _g_step(f, s) == r_g(f), f
             assert _z_number(f.a, f.b, s) == reducing_number(f), f
+
+
+def test_caliber_rule_matches_the_walk_on_every_reduced_form():
+    # the caliber comes from one regular period of (b + sqrt(delta)) / (2a);
+    # orbit_to_cycle walks the Zagier cycle itself.  rho gives a < 0, and
+    # the enumerations include the scaled forms.
+    for delta in discriminants(600):
+        for f in enumerate_z_reduced(delta) + enumerate_g_reduced(delta):
+            for g in (f, f.rho()):
+                assert z_caliber(g) == len(orbit_to_cycle(g).cycle), g
+
+
+@given(st.builds(Form, walk_coefficient, walk_coefficient, walk_coefficient)
+       .filter(lambda f: f.is_indefinite()))
+def test_caliber_rule_matches_the_walk(f):
+    assert z_caliber(f) == len(orbit_to_cycle(f).cycle)
+
+
+def test_caliber_of_long_cycles_without_walking_them():
+    # a cycle of 2,000,001 forms, which a walk takes seconds to store
+    assert z_caliber(Form(1, 1, -10**12)) == 2000001
+    # four beads with a primitive bar string: one Zagier cycle of
+    # total - 1 forms
+    s = (1, 2, 3, 19994)
+    assert is_primitive("".join("0" * (q - 1) + "1" for q in s)[:-1])
+    assert z_caliber(tau(s)) == sum(s) - 1
 
 
 def test_boundary_checks_square_discriminants():
