@@ -16,7 +16,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from . import kernel
-from .forms import as_int, check_delta
+from .forms import as_int, as_ints, check_delta
 from .strings import check_nat
 
 NatString = tuple  # tuple of positive ints (zero ends allowed where noted)
@@ -29,14 +29,11 @@ def continuant(s: Iterable) -> int:
     [0, q2, ...] = [q3, ...] and [..., ql-1, 0] = [..., ql-2].  Zeros in
     the interior are rejected.
     """
-    t = tuple(as_int(q) for q in s)
+    t = as_ints(s)
     for i, q in enumerate(t):
         if q < 1 and not (q == 0 and i in (0, len(t) - 1)):
             raise ValueError(f"continuant entries must be positive, got {t}")
-    a, b = 1, 0
-    for q in t:
-        a, b = q * a + b, a
-    return a
+    return _continuants(t)[0]
 
 
 def continuant_matrix(s: Iterable) -> tuple:
@@ -257,7 +254,7 @@ def neg_to_reg_stream(period: Iterable, n: int) -> tuple:
     A run of k 2s between larger entries contributes the regular pair
     (k + 1, next - 2); the opening entry contributes q1 - 1.
     """
-    t = tuple(as_int(q) for q in period)
+    t = as_ints(period)
     if not t or any(q < 2 for q in t):
         raise ValueError("negative period entries must be >= 2")
     if all(q == 2 for q in t):

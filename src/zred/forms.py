@@ -95,6 +95,17 @@ def as_int(x) -> int:
         raise ValueError(f"expected an integer, got {x!r}") from None
 
 
+def as_ints(s) -> tuple:
+    """s as a tuple of ints, each coerced by as_int.
+
+    A str or bytes is rejected rather than read one character at a time,
+    so "31" is not taken for (3, 1).
+    """
+    if isinstance(s, (str, bytes)):
+        raise ValueError(f"expected a sequence of integers, got {s!r}")
+    return tuple(as_int(q) for q in s)
+
+
 def nonsquare_isqrt(delta: int) -> int:
     """isqrt(delta), after checking that delta is a positive nonsquare."""
     if delta > 0:

@@ -7,9 +7,11 @@ are re-walked from independently enumerated forms, expansions can be
 cross-checked against rational interval refinement, calibers come from
 orbit walks rather than anything cached in the maps module.
 
-Suites shard over their discriminant range (or sample chunks) and can run
-those shards in parallel; reports merge in unit order, so failures list
-the smallest discriminant first and output is deterministic.
+Suites shard over their discriminant range (or sample chunks) into units
+and can run those in parallel; reports merge in unit order, so failures
+list the smallest discriminant first and output is deterministic.  A unit
+is a pair (work, arg) of a module-level function and its argument, so it
+pickles by reference, and running it is work(arg).
 
 The forms and strings a suite feeds the maps come from the reduced-form
 enumerations, from reduction steps on them, or from product, so they are
@@ -26,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
 
 from .contfrac import (
     QuadraticSurd,
@@ -55,7 +56,6 @@ from .reduction import (
     orbit_to_cycle,
 )
 from .strings import (
-    _sb,
     eta_minus,
     eta_plus,
     is_primitive,
@@ -117,8 +117,8 @@ def discriminants(delta_max: int) -> list:
 
 # ---------------------------------------------------------------- suites
 
-def _delta_units(tid):
-    return lambda delta_max: [(tid, d) for d in discriminants(delta_max)]
+def _per_delta(work):
+    return lambda delta_max: [(work, d) for d in discriminants(delta_max)]
 
 
 def _at(table, f):
@@ -180,31 +180,34 @@ def _bead_discs(delta_max):
 
 
 def _beads_units(delta_max):
-    units = [("formfrombeads", ("form", d)) for d in _bead_discs(delta_max)]
+    units = [(_beads_forms, d) for d in _bead_discs(delta_max)]
     if delta_max >= 5:
-        units.extend(("formfrombeads", ("beads", l, q1))
+        units.extend((_beads_strings, (l, q1))
                      for l in range(2, 9) for q1 in range(1, 7))
     return units
 
 
-def _beads_work(payload):
+def _beads_forms(delta):
     cases, fails = 0, []
-    if payload[0] == "form":
-        d = payload[1]
-        for f in enumerate_z_reduced(d):
-            cases += 1
-            g = _tau(_beta(f))
-            if g != f:
-                fails.append(f"delta={d} f={f}: tau(beta(f))={g}")
-    else:
-        _, l, q1 = payload
-        for rest in product(range(1, 7), repeat=l - 1):
-            s = (q1,) + rest
-            cases += 1
-            got = _beta(_tau(s))
-            if got != s:
-                fails.append(f"s={s}: beta(tau(s))={got} "
-                             f"(delta={_tau(s).discriminant()})")
+    for f in enumerate_z_reduced(delta):
+        cases += 1
+        g = _tau(_beta(f))
+        if g != f:
+            fails.append(f"delta={delta} f={f}: tau(beta(f))={g}")
+    return cases, fails
+
+
+def _beads_strings(length_first):
+    # every string of the given length and first bead, beads up to 6
+    l, q1 = length_first
+    cases, fails = 0, []
+    for rest in product(range(1, 7), repeat=l - 1):
+        s = (q1,) + rest
+        cases += 1
+        got = _beta(_tau(s))
+        if got != s:
+            fails.append(f"s={s}: beta(tau(s))={got} "
+                         f"(delta={_tau(s).discriminant()})")
     return cases, fails
 
 
@@ -320,26 +323,21 @@ def _primitivity_work(delta):
     # sigma is injective on the primitive forms of one discriminant and
     # lands in primitive strings; scaled forms may reuse a primitive
     # string from a smaller discriminant, so nothing is claimed for them.
-    # Membership in mu(G+) is read off the first bead.
+    # Membership in mu(G+), read off the first bead, is mu_fiber's check.
     cases, fails = 0, []
     seen = {}
     for f in enumerate_z_reduced(delta):
         cases += 1
-        b = _beta(f)
-        if f.is_primitive():
-            s = _sb(b)
-            if not is_primitive(s):
-                fails.append(f"delta={delta} f={f}: sigma={s} is a repetition")
-            elif s in seen:
-                fails.append(f"delta={delta} f={f}: sigma={s} collides "
-                             f"with {seen[s]}")
-            else:
-                seen[s] = f
-        pre = Form(f.a, f.b - 2 * f.a, f.a - f.b + f.c)
-        in_image = pre.is_g_reduced() and pre.a > 0
-        if in_image != (b[0] == 1):
-            fails.append(f"delta={delta} f={f}: beta={b} disagrees "
-                         f"with mu(G+) membership")
+        if not f.is_primitive():
+            continue
+        s = _sigma(f)
+        if not is_primitive(s):
+            fails.append(f"delta={delta} f={f}: sigma={s} is a repetition")
+        elif s in seen:
+            fails.append(f"delta={delta} f={f}: sigma={s} collides "
+                         f"with {seen[s]}")
+        else:
+            seen[s] = f
     return cases, fails
 
 
@@ -352,11 +350,6 @@ def _weightparity_work(delta):
         if (w % 2 == 1) != (eps == -4):
             fails.append(f"delta={delta} f={f}: weight {w} vs epsilon {eps:+d}")
     return cases, fails
-
-
-def _zcaliber_units(delta_max):
-    # desk-scale necklace sweep; the bound only gates whether it runs
-    return [("zcaliber", l) for l in range(1, 10)] if delta_max >= 1 else []
 
 
 def _zcaliber_work(length):
@@ -390,48 +383,53 @@ def _denjoy_work(delta):
             fails.append(f"delta={delta} f={f}: expansion {got} does not "
                          f"repeat period {p}")
         cases += 1
-        if not is_primitive(p):
+        root = primitive_root(p)
+        if root != p:
             fails.append(f"delta={delta} f={f}: period {p} is not minimal "
-                         f"(true period {primitive_root(p)})")
+                         f"(true period {root})")
     return cases, fails
 
 
 def _lgz_units(delta_max):
-    units = [("lgz", ("forms", d)) for d in discriminants(delta_max)]
-    units.append(("lgz", ("sample", delta_max)))
+    units = [(_lgz_forms, d) for d in discriminants(delta_max)]
+    units.append((_lgz_sample, delta_max))
     return units
 
 
 def _lgz_forms(delta):
+    # each form's period is walked once; an empty pre-period is what
+    # is_purely_periodic_* reads off the same walk
     cases, fails = 0, []
     s = math.isqrt(delta)
     for f in enumerate_z_reduced(delta):
         x = surd(f.b, 2 * f.a, delta)
+        period = neg_cf_period(x)
         cases += 1
         if not (x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
-                and is_purely_periodic_neg(x)):
+                and period[0] == ()):
             fails.append(f"delta={delta} f={f}: {x} fails the reduced "
                          f"negative characterization")
         cases += 1
         cyc = orbit_to_cycle(f).cycle
         want = tuple(_z_number(g.a, g.b, s) for g in cyc)
-        if neg_cf_period(x) != ((), want):
+        if period != ((), want):
             fails.append(f"delta={delta} f={f}: negative period "
-                         f"{neg_cf_period(x)} vs reducing numbers {want}")
+                         f"{period} vs reducing numbers {want}")
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
         x = surd(f.b, 2 * f.a, delta)
+        period = reg_cf_period(x)
         cases += 1
         if not (x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
-                and is_purely_periodic_reg(x)):
+                and period[0] == ()):
             fails.append(f"delta={delta} f={f}: {x} fails the reduced "
                          f"regular characterization")
         if f.is_primitive():
             cases += 1
-            if reg_cf_period(x) != ((), _gamma(f)):
+            if period != ((), _gamma(f)):
                 fails.append(f"delta={delta} f={f}: regular period "
-                             f"{reg_cf_period(x)} vs gamma {_gamma(f)}")
+                             f"{period} vs gamma {_gamma(f)}")
     return cases, fails
 
 
@@ -504,12 +502,6 @@ def _lgz_sample(delta_max):
     return cases, fails
 
 
-def _lgz_work(payload):
-    if payload[0] == "forms":
-        return _lgz_forms(payload[1])
-    return _lgz_sample(payload[1])
-
-
 def _continuant_work(n):
     cases, fails = 0, []
     rng = random.Random(271828)
@@ -574,46 +566,41 @@ def _tz_knead_work(n):
     return cases, fails
 
 
-class _Suite(NamedTuple):
-    units: Callable
-    work: Callable
-
-
+# suite id -> the units it runs at a bound
 _SUITES = {
-    "rotation": _Suite(_delta_units("rotation"), _rotation_work),
-    "xi_diagram_plus": _Suite(_delta_units("xi_diagram_plus"), _xi_plus_work),
-    "xi_diagram_minus": _Suite(_delta_units("xi_diagram_minus"), _xi_minus_work),
-    "formfrombeads": _Suite(_beads_units, _beads_work),
-    "reductionrelation": _Suite(_delta_units("reductionrelation"), _reduction_work),
-    "firstcoefficient": _Suite(_delta_units("firstcoefficient"), _firstcoeff_work),
-    "reversal": _Suite(_delta_units("reversal"), _reversal_work),
-    "mu_fiber": _Suite(_delta_units("mu_fiber"), _mu_fiber_work),
-    "primitivity": _Suite(_delta_units("primitivity"), _primitivity_work),
-    "weightparity": _Suite(_delta_units("weightparity"), _weightparity_work),
-    "zcaliber": _Suite(_zcaliber_units, _zcaliber_work),
-    "denjoy": _Suite(_delta_units("denjoy"), _denjoy_work),
-    "lgz": _Suite(_lgz_units, _lgz_work),
-    "continuant_identities": _Suite(lambda n: [("continuant_identities", n)],
-                                    _continuant_work),
-    "tz_knead": _Suite(lambda n: [("tz_knead", n)], _tz_knead_work),
+    "rotation": _per_delta(_rotation_work),
+    "xi_diagram_plus": _per_delta(_xi_plus_work),
+    "xi_diagram_minus": _per_delta(_xi_minus_work),
+    "formfrombeads": _beads_units,
+    "reductionrelation": _per_delta(_reduction_work),
+    "firstcoefficient": _per_delta(_firstcoeff_work),
+    "reversal": _per_delta(_reversal_work),
+    "mu_fiber": _per_delta(_mu_fiber_work),
+    "primitivity": _per_delta(_primitivity_work),
+    "weightparity": _per_delta(_weightparity_work),
+    "zcaliber": lambda _: [(_zcaliber_work, l) for l in range(1, 10)],
+    "denjoy": _per_delta(_denjoy_work),
+    "lgz": _lgz_units,
+    "continuant_identities": lambda n: [(_continuant_work, n)],
+    "tz_knead": lambda n: [(_tz_knead_work, n)],
 }
 
 SUITE_IDS = list(_SUITES)
 
 
 def _work(unit):
-    tid, payload = unit
-    return _SUITES[tid].work(payload)
+    work, arg = unit
+    return work(arg)
 
 
 def verify(theorem_id: str, delta_max: int, jobs: int = 1) -> VerificationReport:
     """Run one suite up to its bound and report.
 
-    delta_max is the discriminant bound for sweep suites, the sample count
-    for continuant_identities and tz_knead, and a simple on-switch for the
-    fixed necklace sweep of zcaliber.  jobs > 1 shards units across at
-    most os.cpu_count() processes; results are merged in unit order
-    either way.
+    delta_max is the discriminant bound for sweep suites and the sample
+    count for continuant_identities and tz_knead; zcaliber's necklace
+    sweep is fixed and ignores it.  jobs > 1 shards units across at most
+    os.cpu_count() processes; results are merged in unit order either
+    way.
     """
     if theorem_id not in _SUITES:
         known = ", ".join(SUITE_IDS)
@@ -624,7 +611,7 @@ def verify(theorem_id: str, delta_max: int, jobs: int = 1) -> VerificationReport
     jobs = as_int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    units = _SUITES[theorem_id].units(bound)
+    units = _SUITES[theorem_id](bound)
     report = VerificationReport(theorem_id, bound)
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:

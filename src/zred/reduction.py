@@ -165,15 +165,14 @@ def cycles(delta: int, op: str = "z") -> list:
     reduced = kernel.z_reduced_forms(d) if op == "z" else kernel.g_reduced_forms(d)
     seen = set()
     out = []
+    # reduced is sorted, so the first form of a cycle not yet seen is its
+    # least member, and the cycles come out ordered by it
     for f in map(Form._make, reduced):
         if f in seen:
             continue
         cyc = _cycle_from(f, s, op)
-        i = cyc.index(min(cyc))
-        cyc = cyc[i:] + cyc[:i]
         seen.update(cyc)
         out.append(tuple(cyc))
-    out.sort(key=lambda c: c[0])
     return out
 
 

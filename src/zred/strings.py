@@ -10,18 +10,19 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .forms import as_int
+from .forms import as_int, as_ints
 
 
 def check_nat(s, min_len: int = 1) -> tuple:
     """s as a tuple of at least min_len positive ints, else ValueError.
 
-    Entries are coerced by forms.as_int, so 1.5 is rejected rather than
-    truncated; a tuple of ints is returned as it is, not rebuilt.
+    Entries are coerced by forms.as_ints, so 1.5 and the str "31" are
+    rejected rather than truncated or read digit by digit; a tuple of ints
+    is returned as it is, not rebuilt.
     """
     t = s
     if type(t) is not tuple or not all(type(q) is int for q in t):
-        t = tuple(as_int(q) for q in s)
+        t = as_ints(s)
     if len(t) < min_len:
         raise ValueError(f"need at least {min_len} entries, got {t}")
     if t and min(t) < 1:

@@ -275,6 +275,13 @@ def test_non_integral_input_is_rejected():
     with pytest.raises(ValueError):
         reg_to_denjoy((1.5,))
     assert continuant(("2", "3")) == 7
+    # a str is not read digit by digit
+    with pytest.raises(ValueError):
+        continuant("123")
+    with pytest.raises(ValueError):
+        reg_to_denjoy("12")
+    with pytest.raises(ValueError):
+        neg_to_reg_stream("32", 4)
 
 
 def test_floor_ceil_golden_ratio():

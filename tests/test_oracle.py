@@ -3,13 +3,15 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 
 import pytest
 
-from zred import oracle
+from zred import contfrac, oracle
 from zred.contfrac import denjoy_surd, neg_cf_surd, reg_cf_surd, surd
 from zred.forms import Form
+from zred.reduction import enumerate_g_reduced, enumerate_z_reduced
 from zred.oracle import (
     SUITE_IDS,
     VerificationReport,
@@ -128,14 +130,45 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 def test_formfrombeads_units_pin_the_known_collision():
     # tau collapses (1, 1, 1) onto the even-length string of delta 5;
     # every other string in the block round-trips
-    cases, fails = _work(("formfrombeads", ("beads", 3, 1)))
+    cases, fails = _work((oracle._beads_strings, (3, 1)))
     assert cases == 36
     assert len(fails) == 1
     assert "(1, 1, 1)" in fails[0]
-    cases, fails = _work(("formfrombeads", ("beads", 2, 1)))
+    cases, fails = _work((oracle._beads_strings, (2, 1)))
     assert (cases, fails) == (6, [])
-    cases, fails = _work(("formfrombeads", ("form", 68)))
+    cases, fails = _work((oracle._beads_forms, 68))
     assert fails == [] and cases > 0
+
+
+def test_every_unit_pickles():
+    # jobs > 1 sends each unit to a worker process
+    for tid in SUITE_IDS:
+        for unit in oracle._SUITES[tid](300):
+            assert pickle.loads(pickle.dumps(unit)) == unit, tid
+
+
+def test_lgz_runs_the_same_in_a_worker_pool(monkeypatch):
+    # both unit kinds, the per-discriminant forms and the random sample,
+    # go through real worker processes
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert verify("lgz", 60, jobs=3).to_json() == verify("lgz", 60).to_json()
+
+
+def test_lgz_walks_each_period_once(monkeypatch):
+    walks = []
+    period = contfrac._period
+
+    def counting_period(x, step):
+        walks.append(x)
+        return period(x, step)
+
+    monkeypatch.setattr(contfrac, "_period", counting_period)
+    for d in (5, 21, 60, 148):
+        walks.clear()
+        oracle._lgz_forms(d)
+        forms = (len(enumerate_z_reduced(d))
+                 + sum(f.a > 0 for f in enumerate_g_reduced(d)))
+        assert len(walks) == forms, d
 
 
 def test_denjoy_suite_red_cases_are_exactly_imprimitive_minimality():

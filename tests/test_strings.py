@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zred.maps import tau
 from zred.strings import (
     AlternatingNecklace,
     ColoredBin,
@@ -268,7 +269,9 @@ def test_check_nat_coercion():
     t = (3, 1, 4)
     assert check_nat(t) is t  # a tuple of ints is not rebuilt
     assert check_nat(["3", 1]) == (3, 1)
-    for bad in ((1.5, 2), (2, 2.0), ("1.5", 2), (None, 1), ("x", 1)):
+    # a str or bytes is not read one digit or byte at a time
+    for bad in ((1.5, 2), (2, 2.0), ("1.5", 2), (None, 1), ("x", 1),
+                "31", b"\x03\x01"):
         with pytest.raises(ValueError):
             check_nat(bad)
 
@@ -282,3 +285,9 @@ def test_string_moves_check_their_input():
         t_z((1.5, 2))
     with pytest.raises(ValueError):
         eta_plus((0,))
+    with pytest.raises(ValueError):
+        eta_plus("5")
+    with pytest.raises(ValueError):
+        sb("21")
+    with pytest.raises(ValueError):
+        tau("31")
