@@ -145,6 +145,11 @@ def surd(p: int, q: int, delta: int) -> QuadraticSurd:
     return QuadraticSurd(p, q, delta)
 
 
+def _as_surd(x) -> QuadraticSurd:
+    # the one unpacking of a surd triple at the public boundary
+    return surd(*as_ints(x, 3))
+
+
 def _reg_step(p: int, q: int, delta: int, s: int) -> tuple:
     a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
     p1 = a * q - p
@@ -161,6 +166,14 @@ def _neg_step(p: int, q: int, delta: int, s: int) -> tuple:
     return a, p1, q1
 
 
+def _reg_reduced(p: int, q: int, s: int) -> bool:
+    return 0 < q <= p + s and p <= s < p + q
+
+
+def _neg_reduced(p: int, q: int, s: int) -> bool:
+    return 0 < q <= p + s and p - q <= s < p
+
+
 def _term_count(n) -> int:
     n = as_int(n)
     if n < 0:
@@ -168,11 +181,11 @@ def _term_count(n) -> int:
     return n
 
 
-# The expansions take x through surd once, so a triple missing the invariant
-# is rescaled and a bad one raises ValueError rather than failing a step.
+# The expansions take x through _as_surd once: a triple missing the invariant
+# is rescaled, and a bad one raises ValueError rather than failing a step.
 
 def _expand(x: QuadraticSurd, n, step) -> tuple:
-    p, q, d = surd(*x)
+    p, q, d = _as_surd(x)
     s = math.isqrt(d)
     out = []
     for _ in range(_term_count(n)):
@@ -197,37 +210,43 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     Tail values stay positive, so the quotient sequence never shows two
     zeros in a row.
     """
-    x, n = surd(*x), _term_count(n)
+    x, n = _as_surd(x), _term_count(n)
     if x.cmp(0) < 0:
         raise ValueError("binary expansion needs a positive value")
     return kernel.denjoy_bits(x.p, x.q, x.delta, n)
 
 
-def _period(x: QuadraticSurd, step) -> tuple:
-    p, q, d = surd(*x)
+def _period(x: QuadraticSurd, step, reduced) -> tuple:
+    # a tail is purely periodic iff reduced (Galois; Zagier for the negative
+    # expansion), so the minimal period runs from the first reduced state on
+    p, q, d = _as_surd(x)
     s = math.isqrt(d)
-    seen: dict = {}
-    quots = []
-    while (p, q) not in seen:
-        seen[p, q] = len(quots)
+    pre, per = [], []
+    while not reduced(p, q, s):
         a, p, q = step(p, q, d, s)
-        quots.append(a)
-    i = seen[p, q]
-    return tuple(quots[:i]), tuple(quots[i:])
+        pre.append(a)
+    p0, q0 = p, q
+    while not per or p != p0 or q != q0:
+        a, p, q = step(p, q, d, s)
+        per.append(a)
+    return tuple(pre), tuple(per)
 
 
 def reg_cf_period(x: QuadraticSurd) -> tuple:
-    """(pre_period, period) of the regular expansion of x."""
-    return _period(x, _reg_step)
+    """(pre_period, period) of the regular expansion of x, both minimal.
+
+    The period starts at the first tail with x > 1 and -1 < x' < 0.
+    """
+    return _period(x, _reg_step, _reg_reduced)
 
 
 def neg_cf_period(x: QuadraticSurd) -> tuple:
-    """(pre_period, period) of the negative expansion of x.
+    """(pre_period, period) of the negative expansion of x, both minimal.
 
-    One step sends any value above 1, so the expansion is eventually
-    periodic for every surd.
+    The period starts at the first tail with x > 1 and 0 < x' < 1.  One
+    step sends any value above 1, so every expansion is eventually periodic.
     """
-    return _period(x, _neg_step)
+    return _period(x, _neg_step, _neg_reduced)
 
 
 def is_purely_periodic_reg(x: QuadraticSurd) -> bool:

@@ -95,15 +95,22 @@ def as_int(x) -> int:
         raise ValueError(f"expected an integer, got {x!r}") from None
 
 
-def as_ints(s) -> tuple:
-    """s as a tuple of ints, each coerced by as_int.
+def as_ints(s, n: int | None = None) -> tuple:
+    """s as a tuple of ints, each coerced by as_int; of length n if given.
 
     A str or bytes is rejected rather than read one character at a time,
-    so "31" is not taken for (3, 1).
+    so "31" is not taken for (3, 1); so is anything not iterable, and a
+    sequence of the wrong length, all with ValueError.
     """
     if isinstance(s, (str, bytes)):
         raise ValueError(f"expected a sequence of integers, got {s!r}")
-    return tuple(as_int(q) for q in s)
+    try:
+        t = tuple(map(as_int, s))
+    except TypeError:  # s is not iterable
+        raise ValueError(f"expected a sequence of integers, got {s!r}") from None
+    if n is not None and len(t) != n:
+        raise ValueError(f"expected {n} integers, got {s!r}")
+    return t
 
 
 def nonsquare_isqrt(delta: int) -> int:
@@ -127,14 +134,19 @@ def form(a: int, b: int, c: int) -> Form:
     return Form(as_int(a), as_int(b), as_int(c))
 
 
+def as_form(f) -> Form:
+    """f, a sequence of three integers, as a Form; ValueError otherwise."""
+    return Form._make(as_ints(f, 3))
+
+
 def act(f: Form, m: UnimodularMatrix) -> Form:
     """Right action by substitution: f(alpha*x + beta*y, gamma*x + delta*y).
 
     Requires det(m) == 1, so the action composes: act(act(f, M), N) equals
     act(f, M @ N).
     """
-    a, b, c = map(as_int, f)
-    m = UnimodularMatrix(*map(as_int, m))
+    a, b, c = as_form(f)
+    m = UnimodularMatrix._make(as_ints(m, 4))
     if m.det() != 1:
         raise ValueError(f"matrix {m} is not unimodular (det {m.det()})")
     al, be, ga, de = m
@@ -147,7 +159,7 @@ def act(f: Form, m: UnimodularMatrix) -> Form:
 
 def check_indefinite(f: Form) -> int:
     """Return the discriminant after checking it is positive and nonsquare."""
-    d = form(*f).discriminant()
+    d = as_form(f).discriminant()
     nonsquare_isqrt(d)
     return d
 
@@ -158,6 +170,6 @@ def form_to_json(f: Form) -> list:
 
 
 def form_from_json(obj) -> Form:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 3:
+    if not isinstance(obj, (list, tuple)):
         raise ValueError(f"expected a 3-element array of coefficients, got {obj!r}")
-    return form(*obj)
+    return as_form(obj)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .contfrac import _cf_parity, _continuants
-from .forms import Form, form, nonsquare_isqrt
+from .forms import Form, as_form, nonsquare_isqrt
 from .pell import fundamental_solution
 from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
 
@@ -35,7 +35,7 @@ def _automorph_z(f: Form) -> tuple:
 
 
 def _z_reduced(f: Form, what: str) -> Form:
-    f = form(*f)
+    f = as_form(f)
     if not f.is_z_reduced():
         raise ValueError(f"{what} needs a Zagier-reduced form, got {f}")
     return f
@@ -52,7 +52,7 @@ def gamma(f: Form) -> tuple:
     The result determines f up to the choice cut of its cycle; its length
     parity is odd exactly when t^2 - delta u^2 = -4.
     """
-    f = form(*f)
+    f = as_form(f)
     if not f.is_g_reduced() or f.a < 0:
         raise ValueError(f"gamma needs a Gauss-reduced form with a > 0, got {f}")
     return _gamma(f)
@@ -110,7 +110,7 @@ def mu(f: Form) -> Form:
     mirrored on negative a; two-to-one onto its image overall but injective
     on each sign of a.
     """
-    f = form(*f)
+    f = as_form(f)
     if not f.is_g_reduced():
         raise ValueError(f"mu needs a Gauss-reduced form, got {f}")
     nonsquare_isqrt(f.discriminant())

@@ -31,12 +31,11 @@ from itertools import product
 
 from .contfrac import (
     QuadraticSurd,
+    _as_surd,
     _term_count,
     continuant,
     continuant_matrix,
     denjoy_surd,
-    is_purely_periodic_neg,
-    is_purely_periodic_reg,
     neg_cf_period,
     neg_to_reg_stream,
     reg_cf_period,
@@ -471,13 +470,18 @@ def _lgz_sample(delta_max):
         x = surd(p, q, d)
         reg_char = x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
         neg_char = x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
-        cases += 2
-        if is_purely_periodic_reg(x) != reg_char:
-            fails.append(f"x={x}: purely periodic regular "
-                         f"{is_purely_periodic_reg(x)} but reduced is {reg_char}")
-        if is_purely_periodic_neg(x) != neg_char:
-            fails.append(f"x={x}: purely periodic negative "
-                         f"{is_purely_periodic_neg(x)} but reduced is {neg_char}")
+        # reduced is tested on x, not by the walk's predicate; a walk started
+        # late would end the pre-period in the period's last quotient
+        for kind, (pre, per), char in (
+                ("regular", reg_cf_period(x), reg_char),
+                ("negative", neg_cf_period(x), neg_char)):
+            cases += 1
+            if (pre == ()) != char:
+                fails.append(f"x={x}: purely periodic {kind} "
+                             f"{pre == ()} but reduced is {char}")
+            elif pre and pre[-1] == per[-1]:
+                fails.append(f"x={x}: {kind} pre-period {pre} is not "
+                             f"minimal before period {per}")
     # cross-engine: the two conversion algorithms against the direct
     # expanders, on random reduced surds of either kind, 50 terms each
     pool = discriminants(max(hi, 120))
@@ -636,6 +640,7 @@ def expand_surd_oracle(x: QuadraticSurd, kind: str, n: int):
     """
     if kind not in ("reg", "neg", "denjoy"):
         raise ValueError(f"kind must be reg, neg or denjoy, got {kind!r}")
+    x = _as_surd(x)
     d = x.delta
     lo, hi = Fraction(math.isqrt(d)), Fraction(math.isqrt(d) + 1)
     a, b, c, e = 1, x.p, 0, x.q

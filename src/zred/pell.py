@@ -11,6 +11,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+from .contfrac import _continuants, _period, _reg_reduced, _reg_step
 from .forms import as_int, check_delta
 
 
@@ -48,23 +49,15 @@ def solve_pell_bruteforce(delta: int, u_max: int) -> list[PellSolution]:
 
 
 def _unit_from_omega(delta: int) -> PellSolution:
-    # delta = 0 or 1 mod 4: run the continued fraction of (b0 + sqrt(delta))/2
+    # delta = 0 or 1 mod 4: take the regular period of (b0 + sqrt(delta))/2
     # with b0 the largest integer of delta's parity below sqrt(delta).  That
-    # surd is reduced, so its expansion is purely periodic; one period of the
-    # convergent matrix yields the fundamental unit.
+    # surd is reduced, so its period starts at once; the convergent matrix
+    # of one period yields the fundamental unit.
     s = math.isqrt(delta)
     b0 = s if (s - delta) % 2 == 0 else s - 1
-    p0, q0 = b0, 2
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    p, q = p0, q0
-    while True:
-        a = (p + s) // q
-        m11, m12, m21, m22 = a * m11 + m12, m11, a * m21 + m22, m21
-        p = a * q - p
-        q = (delta - p * p) // q
-        if (p, q) == (p0, q0):
-            break
-    t, u = m21 * b0 + 2 * m22, m21
+    _, per = _period((b0, 2, delta), _reg_step, _reg_reduced)
+    _, _, u, m22 = _continuants(per)
+    t = u * b0 + 2 * m22
     eps = t * t - delta * u * u
     assert abs(eps) == 4, "period of a reduced surd must give a unit"
     return PellSolution(t, u, eps)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import kernel
-from .contfrac import _reg_step
-from .forms import Form, as_int, check_delta, form, nonsquare_isqrt
+from .contfrac import _period, _reg_reduced, _reg_step
+from .forms import Form, as_form, as_int, check_delta, nonsquare_isqrt
 
 
 class OrbitResult(NamedTuple):
@@ -49,7 +49,7 @@ def _g_step(f: Form, s: int) -> Form:
 
 def _checked(f: Form) -> tuple:
     """f as a Form with s = isqrt of its discriminant, a positive nonsquare."""
-    f = form(*f)
+    f = as_form(f)
     return f, nonsquare_isqrt(f.discriminant())
 
 
@@ -193,23 +193,11 @@ def z_caliber(f: Form) -> int:
     that many Zagier steps.  An odd-length regular period comes back with
     its positions swapped, so the Zagier period spans it twice.
 
-    Cost: regular steps on the state (p, q) = (b, 2a), where q already
-    divides delta - p^2 = -4ac, until the state is reduced (w > 1 and
-    -1 < w' < 0), then one period back to that state.  That is the regular
-    pre-period plus one period of steps in O(1) memory; no Zagier walk.
+    Cost: the regular pre-period plus one period of steps on the state
+    (p, q) = (b, 2a), where q already divides delta - p^2 = -4ac, holding
+    that one period; no Zagier walk.
     """
-    f, s = _checked(f)
-    delta = f.discriminant()
-    p, q = f.b, 2 * f.a
-    j = 0
-    while not (0 < q <= p + s and p <= s < p + q):
-        _, p, q = _reg_step(p, q, delta, s)
-        j += 1
-    p0, q0, j0 = p, q, j
-    sums = [0, 0]
-    while True:
-        a, p, q = _reg_step(p, q, delta, s)
-        sums[j % 2] += a
-        j += 1
-        if p == p0 and q == q0:
-            return sums[1] if (j - j0) % 2 == 0 else sums[0] + sums[1]
+    f = as_form(f)  # _period checks the discriminant
+    pre, per = _period((f.b, 2 * f.a, f.discriminant()), _reg_step, _reg_reduced)
+    # odd positions count from a0, so in per they start at index 1 - len(pre)
+    return sum(per) if len(per) % 2 else sum(per[(1 - len(pre)) % 2::2])

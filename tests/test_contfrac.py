@@ -368,13 +368,16 @@ def test_period_detection():
 
 @given(surds())
 def test_period_concatenation_matches_stream(x):
+    # a pre-period one quotient too long ends in the period's last quotient
     pre, per = reg_cf_period(x)
+    assert not pre or pre[-1] != per[-1]
     n = len(pre) + 2 * len(per) + 3
     want = list(pre)
     while len(want) < n:
         want.extend(per)
     assert reg_cf_surd(x, n) == tuple(want[:n])
     pre, per = neg_cf_period(x)
+    assert not pre or pre[-1] != per[-1]
     n = len(pre) + 2 * len(per) + 3
     want = list(pre)
     while len(want) < n:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zred
 from zred.forms import (
     Form,
     UnimodularMatrix,
@@ -155,6 +156,25 @@ def test_non_integral_coefficients_are_rejected():
     with pytest.raises(ValueError):
         form_from_json(["1", "5.5", "2"])
     assert as_int(" 7 ") == 7 and as_int(-(10**40)) == -(10**40)
+
+
+# a value of the wrong shape, not iterable or of the wrong length, where a
+# form, a matrix, a surd triple or a string is expected
+MALFORMED = [
+    (zred.tau, (5,)), (zred.continuant, (5,)), (zred.sb, (None,)),
+    (zred.t_z, (7,)), (zred.neg_to_reg_stream, (3, 3)),
+    (zred.gamma, ((1, 3),)), (zred.beta, ((1, 5, 2, 0),)), (zred.mu, (7,)),
+    (zred.orbit_to_cycle, ((1, 2),)), (zred.z_caliber, (None,)),
+    (zred.act, ((1, 2, 3), 5)), (zred.denjoy_surd, ((1, 2), 3)),
+    (zred.reg_cf_period, (5,)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MALFORMED,
+                         ids=[fn.__name__ for fn, _ in MALFORMED])
+def test_malformed_shapes_raise_value_error(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_discriminant_checks():

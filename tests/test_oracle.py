@@ -9,7 +9,7 @@ import random
 import pytest
 
 from zred import contfrac, oracle
-from zred.contfrac import denjoy_surd, neg_cf_surd, reg_cf_surd, surd
+from zred.contfrac import QuadraticSurd, denjoy_surd, neg_cf_surd, reg_cf_surd, surd
 from zred.forms import Form
 from zred.reduction import enumerate_g_reduced, enumerate_z_reduced
 from zred.oracle import (
@@ -158,9 +158,9 @@ def test_lgz_walks_each_period_once(monkeypatch):
     walks = []
     period = contfrac._period
 
-    def counting_period(x, step):
-        walks.append(x)
-        return period(x, step)
+    def counting_period(*args):
+        walks.append(args[0])
+        return period(*args)
 
     monkeypatch.setattr(contfrac, "_period", counting_period)
     for d in (5, 21, 60, 148):
@@ -169,6 +169,23 @@ def test_lgz_walks_each_period_once(monkeypatch):
         forms = (len(enumerate_z_reduced(d))
                  + sum(f.a > 0 for f in enumerate_g_reduced(d)))
         assert len(walks) == forms, d
+
+
+def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
+    period = contfrac._period
+
+    def late_period(*args):
+        pre, per = period(*args)
+        return pre + per[:1], per[1:] + per[:1]
+
+    cases, fails = oracle._lgz_sample(200)
+    assert fails == []
+    monkeypatch.setattr(contfrac, "_period", late_period)
+    late_cases, late_fails = oracle._lgz_sample(200)
+    # every case fails but the 50 regular-to-binary rewrites, which read
+    # no period
+    assert late_cases == cases
+    assert len(late_fails) == cases - 50
 
 
 def test_denjoy_suite_red_cases_are_exactly_imprimitive_minimality():
@@ -252,3 +269,9 @@ def test_oracle_validation():
         with pytest.raises(ValueError):
             reg_cf_surd(x, bad)
     assert expand_surd_oracle(x, "reg", "3") == reg_cf_surd(x, 3) == (1, 2, 2)
+    # the oracle takes x through surd like the engines: a square
+    # discriminant is rejected, not refined forever, and a plain triple
+    # is a surd
+    with pytest.raises(ValueError):
+        expand_surd_oracle(QuadraticSurd(0, 1, 4), "reg", 3)
+    assert expand_surd_oracle((1, 2, 5), "reg", 3) == reg_cf_surd(surd(1, 2, 5), 3)
