@@ -31,13 +31,6 @@ class Result(NamedTuple):
     code: int = 0
 
 
-def _natstring(text: str) -> tuple:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty entry string")
-    return tuple(int(x) for x in parts)
-
-
 def _render(value) -> Result:
     # forms print as (a, b, c), quotient strings comma separated, and
     # binary strings and counts as they are
@@ -53,7 +46,7 @@ def _on_form(fn):
 
 
 def _on_beads(fn):
-    return lambda args: _render(fn(_natstring(args.entries)))
+    return lambda args: _render(fn(args.entries.replace(",", " ").split()))
 
 
 def _add_form_args(sub) -> None:

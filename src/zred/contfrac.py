@@ -250,11 +250,15 @@ def neg_cf_period(x: QuadraticSurd) -> tuple:
 
 
 def is_purely_periodic_reg(x: QuadraticSurd) -> bool:
-    return reg_cf_period(x)[0] == ()
+    """No regular pre-period: by Galois, exactly when x > 1 and -1 < x' < 0."""
+    p, q, d = _as_surd(x)
+    return _reg_reduced(p, q, math.isqrt(d))
 
 
 def is_purely_periodic_neg(x: QuadraticSurd) -> bool:
-    return neg_cf_period(x)[0] == ()
+    """No negative pre-period: by Zagier, exactly when x > 1 and 0 < x' < 1."""
+    p, q, d = _as_surd(x)
+    return _neg_reduced(p, q, math.isqrt(d))
 
 
 def reg_to_denjoy(period: Iterable) -> str:

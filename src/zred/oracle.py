@@ -50,6 +50,7 @@ from .reduction import (
     _g_step,
     _z_number,
     _z_step,
+    cycles,
     enumerate_g_reduced,
     enumerate_z_reduced,
     orbit_to_cycle,
@@ -396,10 +397,14 @@ def _lgz_units(delta_max):
 
 
 def _lgz_forms(delta):
-    # each form's period is walked once; an empty pre-period is what
-    # is_purely_periodic_* reads off the same walk
+    # each form's period is walked once, and each Zagier cycle once: a
+    # form's reducing numbers are its cycle's, rotated to start at it
     cases, fails = 0, []
     s = math.isqrt(delta)
+    place = {}
+    for cyc in cycles(delta):
+        nums = tuple(_z_number(g.a, g.b, s) for g in cyc)
+        place.update((g, (nums, i)) for i, g in enumerate(cyc))
     for f in enumerate_z_reduced(delta):
         x = surd(f.b, 2 * f.a, delta)
         period = neg_cf_period(x)
@@ -409,8 +414,8 @@ def _lgz_forms(delta):
             fails.append(f"delta={delta} f={f}: {x} fails the reduced "
                          f"negative characterization")
         cases += 1
-        cyc = orbit_to_cycle(f).cycle
-        want = tuple(_z_number(g.a, g.b, s) for g in cyc)
+        nums, i = place[f]
+        want = nums[i:] + nums[:i]
         if period != ((), want):
             fails.append(f"delta={delta} f={f}: negative period "
                          f"{period} vs reducing numbers {want}")
@@ -641,6 +646,8 @@ def expand_surd_oracle(x: QuadraticSurd, kind: str, n: int):
     if kind not in ("reg", "neg", "denjoy"):
         raise ValueError(f"kind must be reg, neg or denjoy, got {kind!r}")
     x = _as_surd(x)
+    if kind == "denjoy" and x.cmp(0) < 0:
+        raise ValueError("binary expansion needs a positive value")
     d = x.delta
     lo, hi = Fraction(math.isqrt(d)), Fraction(math.isqrt(d) + 1)
     a, b, c, e = 1, x.p, 0, x.q

@@ -117,12 +117,7 @@ def pinch_left(s) -> tuple:
 
 def pinch_right(s) -> tuple:
     """Mirror image of pinch_left."""
-    t = check_nat(s, min_len=0)
-    if len(t) <= 1 and (not t or t[0] == 1):
-        return t
-    if t[-1] >= 2:
-        return t[:-1] + (t[-1] - 1, 1)
-    return t[:-2] + (t[-2] + 1,)
+    return pinch_left(check_nat(s, min_len=0)[::-1])[::-1]
 
 
 def pinch_both(s) -> tuple:
@@ -237,10 +232,9 @@ def alternating_necklace(x: ColoredBin) -> AlternatingNecklace:
     canon = least_rotation(check_bin(bits, min_weight=1))
     n = len(bits)
     greens = _greens(x)
-    phases = []
-    for r in range(n):
-        if bits[r:] + bits[:r] == canon:
-            phases.extend((p - r) % n for p in greens)
+    # the rotations fixing bits are the multiples of its primitive period
+    r0, step = (bits + bits).find(canon), len(primitive_root(bits))
+    phases = ((g - r) % n for r in range(r0, n, step) for g in greens)
     return AlternatingNecklace(canon, min(phases))
 
 

@@ -99,6 +99,7 @@ def test_string_maps(capsys):
     assert json.loads(out) == ["1", "5", "2"]
     assert run(capsys, "tau", "1,3,1,1")[1] == "(2, 10, 4)"
     assert run(capsys, "tau", "1 3 1 1")[1] == "(2, 10, 4)"
+    assert run(capsys, "tau", " 1, 3 ,1,1")[1] == "(2, 10, 4)"
     assert run(capsys, "xi", "3,1,1")[1] == "(2, 6, -4)"
     assert run(capsys, "denjoy-period", "1", "5", "2")[1] == "1010111"
 
@@ -124,6 +125,7 @@ def test_boundary_failures_exit_3(capsys):
     # (2, 5, 2) passes the Zagier-reduced shape check; its delta is 9
     for argv in (("beta", "2", "5", "2"), ("sigma", "2", "5", "2"),
                  ("tau", "1,0"), ("tau", "1.5,2"), ("tau", "3"),
+                 ("tau", ""), ("tau", " , "), ("xi", ""),
                  ("reduce", "1", "3", "2"), ("caliber", "1", "3", "2"),
                  ("cycles", "9")):
         code, out, err = run(capsys, *argv)

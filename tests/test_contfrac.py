@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zred import contfrac
 from zred.contfrac import (
     QuadraticSurd,
     _cf_parity,
@@ -364,6 +365,37 @@ def test_period_detection():
     assert not is_purely_periodic_reg(surd(0, 1, 2))
     assert is_purely_periodic_neg(surd(3, 2, 5))
     assert not is_purely_periodic_neg(surd(1, 2, 5))
+
+
+def test_pure_periodicity_walks_no_period(monkeypatch):
+    # purely periodic iff reduced (Galois; Zagier for the negative
+    # expansion), so the answer is read off x itself
+    def no_walk(*args):
+        raise AssertionError("a period was walked")
+
+    monkeypatch.setattr(contfrac, "_period", no_walk)
+    big = (0, 1, 10**9 + 9)
+    assert not is_purely_periodic_reg(big)
+    assert not is_purely_periodic_neg(big)
+    assert is_purely_periodic_reg(surd(1, 2, 5))
+    assert is_purely_periodic_neg(surd(3, 2, 5))
+
+
+@st.composite
+def raw_triples(draw):
+    # (p, q, delta) as given, q not necessarily dividing delta - p*p
+    d = draw(nonsquare)
+    s = math.isqrt(d)
+    q = draw(st.integers(1, 2 * s + 2)) * draw(st.sampled_from((-1, 1)))
+    return draw(st.integers(-3 * s - 4, 3 * s + 4)), q, d
+
+
+@given(st.one_of(surds(), raw_triples()))
+@example((1, 2, 6))
+@example((2, 1, 5))
+def test_pure_periodicity_matches_the_period_walk(x):
+    assert is_purely_periodic_reg(x) == (reg_cf_period(x)[0] == ())
+    assert is_purely_periodic_neg(x) == (neg_cf_period(x)[0] == ())
 
 
 @given(surds())

@@ -9,9 +9,18 @@ import random
 import pytest
 
 from zred import contfrac, oracle
-from zred.contfrac import QuadraticSurd, denjoy_surd, neg_cf_surd, reg_cf_surd, surd
+from zred.contfrac import (
+    QuadraticSurd,
+    denjoy_surd,
+    neg_cf_period,
+    neg_cf_surd,
+    reg_cf_period,
+    reg_cf_surd,
+    surd,
+)
 from zred.forms import Form
-from zred.reduction import enumerate_g_reduced, enumerate_z_reduced
+from zred.maps import gamma
+from zred.reduction import enumerate_g_reduced, enumerate_z_reduced, orbit_to_cycle
 from zred.oracle import (
     SUITE_IDS,
     VerificationReport,
@@ -171,6 +180,53 @@ def test_lgz_walks_each_period_once(monkeypatch):
         assert len(walks) == forms, d
 
 
+def lgz_forms_walking_each_form(delta):
+    """_lgz_forms with one Zagier cycle walk per form: the reference."""
+    cases, fails = 0, []
+    s = math.isqrt(delta)
+    for f in enumerate_z_reduced(delta):
+        x = surd(f.b, 2 * f.a, delta)
+        period = neg_cf_period(x)
+        cases += 1
+        if not (x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
+                and period[0] == ()):
+            fails.append(f"delta={delta} f={f}: {x} fails the reduced "
+                         f"negative characterization")
+        cases += 1
+        cyc = orbit_to_cycle(f).cycle
+        want = tuple(oracle._z_number(g.a, g.b, s) for g in cyc)
+        if period != ((), want):
+            fails.append(f"delta={delta} f={f}: negative period "
+                         f"{period} vs reducing numbers {want}")
+    for f in enumerate_g_reduced(delta):
+        if f.a < 0:
+            continue
+        x = surd(f.b, 2 * f.a, delta)
+        period = reg_cf_period(x)
+        cases += 1
+        if not (x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
+                and period[0] == ()):
+            fails.append(f"delta={delta} f={f}: {x} fails the reduced "
+                         f"regular characterization")
+        if f.is_primitive():
+            cases += 1
+            if period != ((), gamma(f)):
+                fails.append(f"delta={delta} f={f}: regular period "
+                             f"{period} vs gamma {gamma(f)}")
+    return cases, fails
+
+
+def test_lgz_forms_match_a_cycle_walk_per_form(monkeypatch):
+    for d in discriminants(300):
+        assert oracle._lgz_forms(d) == lgz_forms_walking_each_form(d), d
+    # a wrong reducing number fails the same forms, in the same order
+    z_number = oracle._z_number
+    monkeypatch.setattr(oracle, "_z_number", lambda a, b, s: z_number(a, b, s) + 1)
+    for d in discriminants(300):
+        got = oracle._lgz_forms(d)
+        assert got[1] and got == lgz_forms_walking_each_form(d), d
+
+
 def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
     period = contfrac._period
 
@@ -275,3 +331,8 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         expand_surd_oracle(QuadraticSurd(0, 1, 4), "reg", 3)
     assert expand_surd_oracle((1, 2, 5), "reg", 3) == reg_cf_surd(surd(1, 2, 5), 3)
+    # the binary expansion is defined for positive values only, in both
+    with pytest.raises(ValueError):
+        denjoy_surd(surd(-3, 1, 2), 8)
+    with pytest.raises(ValueError):
+        expand_surd_oracle(surd(-3, 1, 2), "denjoy", 8)

@@ -11,6 +11,7 @@ from zred.strings import (
     AlternatingNecklace,
     ColoredBin,
     Necklace,
+    _greens,
     alternating_equal,
     alternating_necklace,
     check_bin,
@@ -120,6 +121,21 @@ def test_pinch_cases():
     assert pinch_right((3, 2)) == (3, 1, 1)
     assert pinch_both((1, 1)) == (1, 1)
     assert pinch_both((1, 1, 1)) == (3,)
+
+
+def pinch_right_by_cases(t):
+    """pinch_right written out case by case: the reference for the mirror."""
+    if len(t) <= 1 and (not t or t[0] == 1):
+        return t
+    if t[-1] >= 2:
+        return t[:-1] + (t[-1] - 1, 1)
+    return t[:-2] + (t[-2] + 1,)
+
+
+def test_pinch_right_is_pinch_left_mirrored():
+    for length in range(7):
+        for t in product(range(1, 5), repeat=length):
+            assert pinch_right(t) == pinch_right_by_cases(t), t
 
 
 def test_knead_cases():
@@ -246,6 +262,36 @@ def test_alternating_necklace_representative_independence(b, data):
     r = data.draw(st.integers(0, len(b) - 1))
     rb = b[r:] + b[:r]
     assert alternating_necklace(ColoredBin(rb, (mark - r) % len(b))) == base
+
+
+def alternating_necklace_by_scan(x):
+    """alternating_necklace by trying all n rotations: the quadratic reference."""
+    bits, n = x.bits, len(x.bits)
+    canon = least_rotation(bits)
+    phases = []
+    for r in range(n):
+        if bits[r:] + bits[:r] == canon:
+            phases.extend((g - r) % n for g in _greens(x))
+    return AlternatingNecklace(canon, min(phases))
+
+
+def assert_every_mark_matches_the_scan(b):
+    for mark, ch in enumerate(b):
+        if ch == "1":
+            x = ColoredBin(b, mark)
+            assert alternating_necklace(x) == alternating_necklace_by_scan(x), x
+
+
+@given(bin1)
+def test_alternating_necklace_matches_the_rotation_scan(b):
+    assert_every_mark_matches_the_scan(b)
+
+
+def test_alternating_necklace_on_periodic_blocks():
+    # a string with primitive period p is fixed by every p-th rotation
+    for block in ("1", "10", "01", "110", "1001", "10110", "0110100"):
+        for k in range(1, 8):
+            assert_every_mark_matches_the_scan(block * k)
 
 
 def sb_bar_set(s):
