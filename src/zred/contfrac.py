@@ -208,7 +208,8 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     """First n binary quotients of x > 0: 1 where the tail exceeds 1.
 
     Tail values stay positive, so the quotient sequence never shows two
-    zeros in a row.
+    zeros in a row.  The expansion takes the pre-period plus one period
+    of regular steps, whatever n is; the later bits repeat the period.
     """
     x, n = _as_surd(x), _term_count(n)
     if x.cmp(0) < 0:

@@ -107,11 +107,27 @@ def denjoy_bits(p: int, q: int, delta: int, n: int) -> str:
     is the binary block 1 followed by a - 1 copies of 01, and a = 0 (only
     possible first, for a value below 1) is the single bit 0.  A block
     is cut to the bits still wanted, so a huge quotient builds only those.
+
+    Once the state is reduced it stays reduced and runs round a cycle
+    (Galois), and each step depends on the state alone, so when the
+    first reduced state comes back every later bit repeats the bits
+    since it.  The rest is filled by repetition: the cost is the
+    pre-period plus one period of steps, whatever n is.
     """
     s = math.isqrt(delta)
     out = []
     left = n
+    mark = -1  # index in out of the first block from a reduced state
     while left > 0:
+        if mark < 0:
+            # contfrac._reg_reduced, inline
+            if 0 < q <= p + s and p <= s < p + q:
+                mark, p0, q0 = len(out), p, q
+        elif p == p0 and q == q0:
+            per = "".join(out[mark:])
+            k, r = divmod(left, len(per))
+            out.append(per * k + per[:r])
+            break
         a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
         if a >= 1:
             size = 2 * a - 1

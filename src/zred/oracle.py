@@ -35,7 +35,6 @@ from .contfrac import (
     _term_count,
     continuant,
     continuant_matrix,
-    denjoy_surd,
     neg_cf_period,
     neg_to_reg_stream,
     reg_cf_period,
@@ -44,6 +43,7 @@ from .contfrac import (
     surd,
 )
 from .forms import Form, UnimodularMatrix, act, as_int
+from .kernel import denjoy_bits
 from .maps import _beta, _denjoy_period, _gamma, _mu, _sigma, _tau
 from .pell import fundamental_solution
 from .reduction import (
@@ -377,8 +377,9 @@ def _denjoy_work(delta):
     for f in enumerate_z_reduced(delta):
         p = _denjoy_period(f)
         cases += 1
-        # denjoy_surd takes the triple through surd itself
-        got = denjoy_surd((f.b - 2 * f.a, 2 * f.a, delta), 3 * len(p))
+        # w - 1 = (b - 2a + sqrt(delta))/(2a) is a valid state for the core:
+        # delta - (b - 2a)**2 = 4a(b - a - c), which 2a divides, and w > 1
+        got = denjoy_bits(f.b - 2 * f.a, 2 * f.a, delta, 3 * len(p))
         if got != p * 3:
             fails.append(f"delta={delta} f={f}: expansion {got} does not "
                          f"repeat period {p}")

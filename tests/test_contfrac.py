@@ -424,6 +424,14 @@ def test_denjoy_frozen():
         denjoy_surd(surd(-5, 2, 5), 4)
 
 
+def test_denjoy_long_expansions_are_pinned():
+    # one period of steps, then repetition: the golden ratio is all ones and
+    # sqrt(2) = [1; 2, 2, ...] is 1 followed by blocks 101
+    assert denjoy_surd(surd(1, 2, 5), 10**6) == "1" * 10**6
+    n, k = 100_001, 33_334
+    assert denjoy_surd(surd(0, 1, 2), n) == ("1" + "101" * k)[:n]
+
+
 @settings(max_examples=150)
 @given(surds(positive=True), st.integers(1, 80))
 def test_denjoy_never_shows_00(x, n):

@@ -7,7 +7,7 @@ import pytest
 
 import zred
 from zred import kernel
-from zred.contfrac import surd
+from zred.contfrac import reg_cf_period, surd
 from zred.oracle import _denjoy_bits_stepwise, expand_surd_oracle
 
 
@@ -80,3 +80,42 @@ def test_denjoy_bits_big_values_fall_back():
         assert len(got) == n
         assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), (x, n)
         assert got == expand_surd_oracle(x, "denjoy", n), (x, n)
+
+
+def _bit_count(quotients):
+    # binary length of regular quotients: 2a - 1 bits for a >= 1, one for 0
+    return sum(2 * a - 1 if a else 1 for a in quotients)
+
+
+def test_denjoy_bits_repeat_the_period_exactly():
+    # after the first reduced state comes back the bits are filled by
+    # repetition; the step-per-bit reference crosses every boundary of it
+    rng = random.Random(12)
+    xs = [surd(3, 2, 17), surd(1, 2, 5), surd(0, 1, 2), surd(0, 1, 94),
+          # values in (0, 1): the first bit is 0
+          surd(-1, 1, 2), surd(1, 7, 2), surd(-4, 3, 19),
+          # q < 0
+          surd(-3, -1, 5), surd(-9, -2, 17), surd(-13, -4, 61)]
+    xs += _random_states(rng, 40)
+    for x in xs:
+        pre, per = reg_cf_period(x)
+        head, size = _bit_count(pre), _bit_count(per)
+        ns = {0, head, head + size - 1, head + size, head + size + 1,
+              head + 4 * size + rng.randint(1, size)}
+        for n in sorted(ns):
+            got = kernel.denjoy_bits(x.p, x.q, x.delta, n)
+            assert len(got) == n
+            assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), (x, n)
+            if n <= 200:
+                assert got == expand_surd_oracle(x, "denjoy", n), (x, n)
+
+
+def test_denjoy_bits_repeat_a_period_with_a_large_quotient():
+    # the period (2000,) is 3999 bits; the cut falls inside a repeated block
+    x = surd(1000, 1, 10**6 + 1)
+    assert reg_cf_period(x) == ((), (2000,))
+    block = "1" + "01" * 1999
+    for n in (3998, 3999, 4000, 2 * 3999 + 1234):
+        got = kernel.denjoy_bits(x.p, x.q, x.delta, n)
+        assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), n
+        assert got == (block * 3)[:n], n

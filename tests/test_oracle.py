@@ -254,6 +254,31 @@ def test_denjoy_suite_red_cases_are_exactly_imprimitive_minimality():
     assert all("not minimal" in f for f in rep.failures)
 
 
+def _denjoy_work_through_denjoy_surd(delta):
+    # reference for the denjoy unit, which calls the kernel core: here the
+    # triple goes through the public denjoy_surd, with surd's rescaling and
+    # the positivity check
+    cases, fails = 0, []
+    for f in enumerate_z_reduced(delta):
+        p = oracle._denjoy_period(f)
+        cases += 1
+        got = denjoy_surd((f.b - 2 * f.a, 2 * f.a, delta), 3 * len(p))
+        if got != p * 3:
+            fails.append(f"delta={delta} f={f}: expansion {got} does not "
+                         f"repeat period {p}")
+        cases += 1
+        root = oracle.primitive_root(p)
+        if root != p:
+            fails.append(f"delta={delta} f={f}: period {p} is not minimal "
+                         f"(true period {root})")
+    return cases, fails
+
+
+def test_denjoy_unit_matches_the_public_path():
+    for d in discriminants(300):
+        assert oracle._denjoy_work(d) == _denjoy_work_through_denjoy_surd(d), d
+
+
 # (cases, failure_count, sha256 of the JSON failure list) of every suite but
 # formfrombeads at delta_max=300; a change to any report shows up here
 _NO_FAILURES = hashlib.sha256(b"[]").hexdigest()
