@@ -415,6 +415,12 @@ def _lgz_forms(delta):
             fails.append(f"delta={delta} f={f}: {x} fails the reduced "
                          f"negative characterization")
         cases += 1
+        if f not in place:
+            # cycles seeds its walks rather than scanning every form, so
+            # this is the check that it lists them all
+            fails.append(f"delta={delta} f={f}: in no cycle that cycles "
+                         f"lists")
+            continue
         nums, i = place[f]
         want = nums[i:] + nums[:i]
         if period != ((), want):

@@ -15,6 +15,7 @@ from typing import NamedTuple
 from . import kernel
 from .contfrac import _period, _reg_reduced, _reg_step
 from .forms import Form, as_form, as_int, check_delta, nonsquare_isqrt
+from .maps import _mu
 
 
 class OrbitResult(NamedTuple):
@@ -158,16 +159,29 @@ def cycles(delta: int, op: str = "z") -> list:
 
     Each cycle is a tuple starting from its least member; the list is
     ordered by those representatives.
+
+    The Gauss cycles are walked from the sorted Gauss-reduced forms.  The
+    Zagier cycles are seeded through mu from the Gauss-reduced forms with
+    a > 0, with no scan of the Zagier-reduced forms.  mu keeps their
+    order, since it sends (a, b) to (a, 2a + b), and its image is the
+    Zagier-reduced forms whose reducing number n is at least 3.  The least
+    member (a, b, c) of a Zagier cycle is one of them: its predecessor has
+    leading coefficient c >= a, so b > a + c gives the successor's
+    4a - 2b + c < a if n were 2.  So every Zagier cycle is reached, and
+    first at its least member.
     """
     _check_op(op)
     d = as_int(delta)
     s = nonsquare_isqrt(d)
-    reduced = kernel.z_reduced_forms(d) if op == "z" else kernel.g_reduced_forms(d)
+    seeds = map(Form._make, kernel.g_reduced_forms(d))
+    if op == "z":
+        seeds = (_mu(f) for f in seeds if f.a > 0)
     seen = set()
     out = []
-    # reduced is sorted, so the first form of a cycle not yet seen is its
-    # least member, and the cycles come out ordered by it
-    for f in map(Form._make, reduced):
+    # the seeds are sorted and hold each cycle's least member, so the first
+    # seed of a cycle not yet seen is its least member, and the cycles come
+    # out ordered by it
+    for f in seeds:
         if f in seen:
             continue
         cyc = _cycle_from(f, s, op)

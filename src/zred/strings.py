@@ -56,12 +56,8 @@ def _sb(t: tuple) -> str:
 def sb_inv(b: str):
     """Inverse of sb: gaps with a 1 cut 1..m+1 into consecutive blocks."""
     check_bin(b, min_weight=1)
-    m = len(b)
-    bars = [i + 1 for i, ch in enumerate(b) if ch == "1"]
-    parts = [bars[0]]
-    parts.extend(bars[i + 1] - bars[i] for i in range(len(bars) - 1))
-    parts.append(m + 1 - bars[-1])
-    return tuple(parts)
+    # the bars cut b into runs of stars, each run one short of its entry
+    return tuple(len(block) + 1 for block in b.split("1"))
 
 
 def weight(b: str) -> int:

@@ -20,7 +20,12 @@ from zred.contfrac import (
 )
 from zred.forms import Form
 from zred.maps import gamma
-from zred.reduction import enumerate_g_reduced, enumerate_z_reduced, orbit_to_cycle
+from zred.reduction import (
+    cycles,
+    enumerate_g_reduced,
+    enumerate_z_reduced,
+    orbit_to_cycle,
+)
 from zred.oracle import (
     SUITE_IDS,
     VerificationReport,
@@ -225,6 +230,20 @@ def test_lgz_forms_match_a_cycle_walk_per_form(monkeypatch):
     for d in discriminants(300):
         got = oracle._lgz_forms(d)
         assert got[1] and got == lgz_forms_walking_each_form(d), d
+
+
+def test_lgz_records_a_form_that_no_listed_cycle_holds(monkeypatch):
+    # lgz is the check that cycles lists every Zagier-reduced form, so a
+    # dropped cycle is a failure per form of it, not a KeyError
+    monkeypatch.setattr(oracle, "cycles", lambda delta: cycles(delta)[1:])
+    dropped = cycles(148)[0]
+    cases, fails = oracle._lgz_forms(148)
+    assert cases == lgz_forms_walking_each_form(148)[0]
+    assert fails == [f"delta=148 f={f}: in no cycle that cycles lists"
+                     for f in sorted(dropped)]
+    rep = verify("lgz", 60)
+    assert rep.failure_count > 0
+    assert all("in no cycle" in f for f in rep.failures)
 
 
 def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):

@@ -320,6 +320,7 @@ def test_orbit_to_cycle_matches_public_walk(f):
 
 
 def cycles_reference(delta, op):
+    """Every op-reduced form enumerated, then each new one's cycle walked."""
     pool = enumerate_z_reduced(delta) if op == "z" else enumerate_g_reduced(delta)
     out, seen = [], set()
     for f in pool:
@@ -331,10 +332,29 @@ def cycles_reference(delta, op):
     return sorted(out)
 
 
-@given(st.integers(5, 3000).filter(lambda d: math.isqrt(d) ** 2 != d),
-       st.sampled_from(("z", "g")))
-def test_cycles_match_public_walk(delta, op):
-    assert cycles(delta, op) == cycles_reference(delta, op)
+def test_cycles_match_public_walk():
+    # the Zagier cycles are seeded through mu, not from the enumeration
+    for delta in range(2, 3001):
+        if math.isqrt(delta) ** 2 != delta:
+            for op in ("z", "g"):
+                assert cycles(delta, op) == cycles_reference(delta, op), (delta, op)
+
+
+# delta -> (Zagier-reduced forms, Zagier cycles) at the long-cycle
+# benchmark's discriminants
+LONG_CYCLE_PINS = {
+    2000057: (7154, 2),
+    2000269: (7111, 1),
+    2000293: (7101, 1),
+    2000297: (7042, 4),
+}
+
+
+def test_cycles_on_long_zagier_cycles():
+    for delta, want in LONG_CYCLE_PINS.items():
+        cyc = cycles(delta)
+        assert (sum(map(len, cyc)), len(cyc)) == want, delta
+        assert cyc == cycles_reference(delta, "z"), delta
 
 
 def test_cores_match_public_steps_on_every_reduced_form():

@@ -70,6 +70,27 @@ def test_sb_inv_frozen():
         sb_inv("000")
 
 
+def sb_inv_reference(b):
+    """sb_inv by scanning for the bars' positions: the reference."""
+    m = len(b)
+    bars = [i + 1 for i, ch in enumerate(b) if ch == "1"]
+    parts = [bars[0]]
+    parts.extend(bars[i + 1] - bars[i] for i in range(len(bars) - 1))
+    parts.append(m + 1 - bars[-1])
+    return tuple(parts)
+
+
+def test_sb_inv_matches_the_bar_scan_on_every_short_string():
+    for m in range(1, 15):
+        for bits in product("01", repeat=m):
+            b = "".join(bits)
+            if "1" in b:
+                assert sb_inv(b) == sb_inv_reference(b), b
+            else:
+                with pytest.raises(ValueError):
+                    sb_inv(b)
+
+
 @given(nat2)
 def test_sb_round_trip(s):
     b = sb(s)
