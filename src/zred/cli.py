@@ -46,7 +46,14 @@ def _on_form(fn):
 
 
 def _on_beads(fn):
-    return lambda args: _render(fn(args.entries.replace(",", " ").split()))
+    def handler(args):
+        # an empty field between commas is a missing bead, not a shorter string
+        fields = args.entries.split(",")
+        for i, field in enumerate(fields, 1):
+            if len(fields) > 1 and not field.strip():
+                raise ValueError(f"entry {i} of {args.entries!r} is empty")
+        return _render(fn(" ".join(fields).split()))
+    return handler
 
 
 def _add_form_args(sub) -> None:

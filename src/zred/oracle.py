@@ -2,16 +2,19 @@
 
 Every suite rechecks a theorem-shaped statement by brute enumeration,
 independent re-derivation, or randomized identity testing, and returns a
-VerificationReport.  Suites never trust the quantity under test: cycles
-are re-walked from independently enumerated forms, expansions can be
-cross-checked against rational interval refinement, calibers come from
-orbit walks rather than anything cached in the maps module.
+VerificationReport.  Suites never trust the quantity under test: the
+Zagier cycles that cycles() seeds through mu are checked against the
+independently enumerated reduced forms, expansions can be cross-checked
+against rational interval refinement, calibers come from orbit walks
+rather than anything cached in the maps module.
 
 Suites shard over their discriminant range (or sample chunks) into units
 and can run those in parallel; reports merge in unit order, so failures
 list the smallest discriminant first and output is deterministic.  A unit
-is a pair (work, arg) of a module-level function and its argument, so it
-pickles by reference, and running it is work(arg).
+is a pair (work, arg) of a module-level generator function and its
+argument, so it pickles by reference.  work(arg) yields one item per
+case, in order: None when the case holds, else the failure message;
+_work is the only code that counts cases and collects failures.
 
 The forms and strings a suite feeds the maps come from the reduced-form
 enumerations, from reduction steps on them, or from product, so they are
@@ -129,41 +132,31 @@ def _at(table, f):
 
 
 def _rotation_work(delta):
-    cases, fails = 0, []
     s = math.isqrt(delta)
     zf = enumerate_z_reduced(delta)
     sig = {f: _sigma(f) for f in zf}
     for f in zf:
-        cases += 1
         got, want = rotate_bin(sig[f]), _at(sig, _z_step(f, s))
-        if got != want:
-            fails.append(f"delta={delta} f={f}: rotate_bin(sigma)={got} "
-                         f"but sigma(r_z)={want}")
-    return cases, fails
+        yield None if got == want else (
+            f"delta={delta} f={f}: rotate_bin(sigma)={got} but sigma(r_z)={want}")
 
 
 def _xi_plus_work(delta):
-    cases, fails = 0, []
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
-        cases += 1
         got, want = _beta(_mu(f)), eta_plus(_gamma(f))
-        if got != want:
-            fails.append(f"delta={delta} f={f}: beta(mu)={got} eta+(gamma)={want}")
-    return cases, fails
+        yield None if got == want else (
+            f"delta={delta} f={f}: beta(mu)={got} eta+(gamma)={want}")
 
 
 def _xi_minus_work(delta):
-    cases, fails = 0, []
     for f in enumerate_g_reduced(delta):
         if f.a > 0:
             continue
-        cases += 1
         got, want = _beta(_mu(f)), eta_minus(_gamma(f.rho()))
-        if got != want:
-            fails.append(f"delta={delta} f={f}: beta(mu)={got} eta-(gamma rho)={want}")
-    return cases, fails
+        yield None if got == want else (
+            f"delta={delta} f={f}: beta(mu)={got} eta-(gamma rho)={want}")
 
 
 def _bead_discs(delta_max):
@@ -188,38 +181,27 @@ def _beads_units(delta_max):
 
 
 def _beads_forms(delta):
-    cases, fails = 0, []
     for f in enumerate_z_reduced(delta):
-        cases += 1
         g = _tau(_beta(f))
-        if g != f:
-            fails.append(f"delta={delta} f={f}: tau(beta(f))={g}")
-    return cases, fails
+        yield None if g == f else f"delta={delta} f={f}: tau(beta(f))={g}"
 
 
 def _beads_strings(length_first):
     # every string of the given length and first bead, beads up to 6
     l, q1 = length_first
-    cases, fails = 0, []
     for rest in product(range(1, 7), repeat=l - 1):
         s = (q1,) + rest
-        cases += 1
         got = _beta(_tau(s))
-        if got != s:
-            fails.append(f"s={s}: beta(tau(s))={got} "
-                         f"(delta={_tau(s).discriminant()})")
-    return cases, fails
+        yield None if got == s else (
+            f"s={s}: beta(tau(s))={got} (delta={_tau(s).discriminant()})")
 
 
 def _reduction_work(delta):
-    cases, fails = 0, []
     r = math.isqrt(delta)
 
     def check(tag, f, got, want):
-        nonlocal cases
-        cases += 1
-        if got != want:
-            fails.append(f"delta={delta} f={f} [{tag}]: got {got} want {want}")
+        return None if got == want else (
+            f"delta={delta} f={f} [{tag}]: got {got} want {want}")
 
     # each map is taken once per form and looked up after a step
     gam = {f: _gamma(f) for f in enumerate_g_reduced(delta) if f.a > 0}
@@ -228,34 +210,29 @@ def _reduction_work(delta):
         f1 = _g_step(f, r)
         f2 = _g_step(f1, r)
         mf = _mu(f)
-        check("gamma_rho_rg", f, _at(gam, f1.rho()), t_g(s))
-        check("gamma_rg2", f, _at(gam, f2), t_g(t_g(s)))
-        check("mu_rg", f, _mu(f1), _z_step(mf, r))
+        yield check("gamma_rho_rg", f, _at(gam, f1.rho()), t_g(s))
+        yield check("gamma_rg2", f, _at(gam, f2), t_g(t_g(s)))
+        yield check("mu_rg", f, _mu(f1), _z_step(mf, r))
         h = mf
         for _ in range(s[1 % len(s)]):
             h = _z_step(h, r)
-        check("mu_rg2", f, _mu(f2), h)
+        yield check("mu_rg2", f, _mu(f2), h)
     for g, b in bet.items():
-        check("beta_rz", g, _at(bet, _z_step(g, r)), t_z(b))
-    return cases, fails
+        yield check("beta_rz", g, _at(bet, _z_step(g, r)), t_z(b))
 
 
 def _firstcoeff_work(delta):
-    cases, fails = 0, []
     s = math.isqrt(delta)
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
-        cases += 1
         m = UnimodularMatrix(_gamma(f)[0], 1, -1, 0)
         got, want = act(f, m), _g_step(f, s)
-        if got != want:
-            fails.append(f"delta={delta} f={f}: f|M(q1)={got} r_g={want}")
-    return cases, fails
+        yield None if got == want else (
+            f"delta={delta} f={f}: f|M(q1)={got} r_g={want}")
 
 
 def _reversal_work(delta):
-    cases, fails = 0, []
     # a G- form's reverse and rho are both G+, so gamma is taken once per
     # G+ form and beta once per Zagier-reduced form
     gf = enumerate_g_reduced(delta)
@@ -263,60 +240,51 @@ def _reversal_work(delta):
     for f in gf:
         if f.a > 0:
             continue
-        cases += 1
         fr, fp = f.reverse(), f.rho()
         if fr not in gam or fp not in gam:
-            fails.append(f"delta={delta} f={f}: reverse {fr} or rho {fp} "
-                         f"is not reduced")
+            yield f"delta={delta} f={f}: reverse {fr} or rho {fp} is not reduced"
             continue
         got, want = gam[fr], tuple(reversed(gam[fp]))
-        if got != want:
-            fails.append(f"delta={delta} f={f}: gamma(reverse)={got} "
-                         f"reversed(gamma(rho))={want}")
+        yield None if got == want else (
+            f"delta={delta} f={f}: gamma(reverse)={got} reversed(gamma(rho))={want}")
     bet = {g: _beta(g) for g in enumerate_z_reduced(delta)}
     for g, b in bet.items():
-        cases += 1
         got, want = _at(bet, g.reverse()), tuple(reversed(b))
-        if got != want:
-            fails.append(f"delta={delta} g={g}: beta(reverse)={got} "
-                         f"reversed(beta)={want}")
-    return cases, fails
+        yield None if got == want else (
+            f"delta={delta} g={g}: beta(reverse)={got} reversed(beta)={want}")
 
 
 _SWAP = UnimodularMatrix(-1, 1, -1, 0)
 
 
 def _mu_fiber_work(delta):
-    cases, fails = 0, []
     s = math.isqrt(delta)
     plus, minus = {}, {}
     for f in enumerate_g_reduced(delta):
         (plus if f.a > 0 else minus)[_mu(f)] = f
     for h, g in minus.items():
         f0 = act(g, _SWAP)
-        cases += 1
         if f0.is_g_reduced() and f0.a > 0:
-            if _mu(f0) != h or _g_step(g, s) != f0 or plus.get(h) != f0:
-                fails.append(f"delta={delta} g={g}: fiber partner {f0} "
-                             f"mismatch (mu={_mu(f0)})")
+            ok = _mu(f0) == h and _g_step(g, s) == f0 and plus.get(h) == f0
+            yield None if ok else (
+                f"delta={delta} g={g}: fiber partner {f0} "
+                f"mismatch (mu={_mu(f0)})")
         else:
-            if h in plus:
-                fails.append(f"delta={delta} g={g}: mu collides with {plus[h]} "
-                             f"but g(-x+y,-x)={f0} is not reduced")
+            yield None if h not in plus else (
+                f"delta={delta} g={g}: mu collides with {plus[h]} "
+                f"but g(-x+y,-x)={f0} is not reduced")
     # image characterization: h has a G+/G- preimage under mu exactly when
     # its bead string starts/ends with 1
     for h in enumerate_z_reduced(delta):
         b = _beta(h)
         plus_pre = Form(h.a, h.b - 2 * h.a, h.a - h.b + h.c)
         minus_pre = Form(h.a - h.b + h.c, h.b - 2 * h.c, h.c)
-        cases += 2
-        if plus_pre.is_g_reduced() != (b[0] == 1):
-            fails.append(f"delta={delta} h={h}: mu(G+) membership "
-                         f"{plus_pre.is_g_reduced()} vs beads {b}")
-        if minus_pre.is_g_reduced() != (b[-1] == 1):
-            fails.append(f"delta={delta} h={h}: mu(G-) membership "
-                         f"{minus_pre.is_g_reduced()} vs beads {b}")
-    return cases, fails
+        yield None if plus_pre.is_g_reduced() == (b[0] == 1) else (
+            f"delta={delta} h={h}: mu(G+) membership "
+            f"{plus_pre.is_g_reduced()} vs beads {b}")
+        yield None if minus_pre.is_g_reduced() == (b[-1] == 1) else (
+            f"delta={delta} h={h}: mu(G-) membership "
+            f"{minus_pre.is_g_reduced()} vs beads {b}")
 
 
 def _primitivity_work(delta):
@@ -324,71 +292,57 @@ def _primitivity_work(delta):
     # lands in primitive strings; scaled forms may reuse a primitive
     # string from a smaller discriminant, so nothing is claimed for them.
     # Membership in mu(G+), read off the first bead, is mu_fiber's check.
-    cases, fails = 0, []
     seen = {}
     for f in enumerate_z_reduced(delta):
-        cases += 1
         if not f.is_primitive():
+            yield None
             continue
         s = _sigma(f)
         if not is_primitive(s):
-            fails.append(f"delta={delta} f={f}: sigma={s} is a repetition")
+            yield f"delta={delta} f={f}: sigma={s} is a repetition"
         elif s in seen:
-            fails.append(f"delta={delta} f={f}: sigma={s} collides "
-                         f"with {seen[s]}")
+            yield f"delta={delta} f={f}: sigma={s} collides with {seen[s]}"
         else:
             seen[s] = f
-    return cases, fails
+            yield None
 
 
 def _weightparity_work(delta):
-    cases, fails = 0, []
     eps = fundamental_solution(delta).epsilon
     for f in enumerate_z_reduced(delta):
-        cases += 1
         w = _sigma(f).count("1")
-        if (w % 2 == 1) != (eps == -4):
-            fails.append(f"delta={delta} f={f}: weight {w} vs epsilon {eps:+d}")
-    return cases, fails
+        yield None if (w % 2 == 1) == (eps == -4) else (
+            f"delta={delta} f={f}: weight {w} vs epsilon {eps:+d}")
 
 
 def _zcaliber_work(length):
-    cases, fails = 0, []
     for bits in product("01", repeat=length):
         s = "".join(bits)
         if "1" not in s or least_rotation(s) != s or not is_primitive(s):
             continue
-        cases += 1
         classes = {}
         for r in range(length):
             rot = s[r:] + s[:r]
             orbit = orbit_to_cycle(_tau(sb_inv(rot))).cycle
             classes[min(orbit)] = len(orbit)
         want_classes = 1 if s.count("1") % 2 == 1 else 2
-        if len(classes) != want_classes or sum(classes.values()) != length:
-            fails.append(f"necklace {s}: classes {sorted(classes.items())} "
-                         f"(want {want_classes} classes with calibers summing "
-                         f"to {length})")
-    return cases, fails
+        yield None if (len(classes) == want_classes
+                       and sum(classes.values()) == length) else (
+            f"necklace {s}: classes {sorted(classes.items())} "
+            f"(want {want_classes} classes with calibers summing to {length})")
 
 
 def _denjoy_work(delta):
-    cases, fails = 0, []
     for f in enumerate_z_reduced(delta):
         p = _denjoy_period(f)
-        cases += 1
         # w - 1 = (b - 2a + sqrt(delta))/(2a) is a valid state for the core:
         # delta - (b - 2a)**2 = 4a(b - a - c), which 2a divides, and w > 1
         got = denjoy_bits(f.b - 2 * f.a, 2 * f.a, delta, 3 * len(p))
-        if got != p * 3:
-            fails.append(f"delta={delta} f={f}: expansion {got} does not "
-                         f"repeat period {p}")
-        cases += 1
+        yield None if got == p * 3 else (
+            f"delta={delta} f={f}: expansion {got} does not repeat period {p}")
         root = primitive_root(p)
-        if root != p:
-            fails.append(f"delta={delta} f={f}: period {p} is not minimal "
-                         f"(true period {root})")
-    return cases, fails
+        yield None if root == p else (
+            f"delta={delta} f={f}: period {p} is not minimal (true period {root})")
 
 
 def _lgz_units(delta_max):
@@ -400,48 +354,42 @@ def _lgz_units(delta_max):
 def _lgz_forms(delta):
     # each form's period is walked once, and each Zagier cycle once: a
     # form's reducing numbers are its cycle's, rotated to start at it
-    cases, fails = 0, []
     s = math.isqrt(delta)
     place = {}
     for cyc in cycles(delta):
         nums = tuple(_z_number(g.a, g.b, s) for g in cyc)
-        place.update((g, (nums, i)) for i, g in enumerate(cyc))
+        for i, g in enumerate(cyc):
+            # a form listed more than once keeps no place
+            place[g] = None if g in place else (nums, i)
     for f in enumerate_z_reduced(delta):
         x = surd(f.b, 2 * f.a, delta)
         period = neg_cf_period(x)
-        cases += 1
-        if not (x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
-                and period[0] == ()):
-            fails.append(f"delta={delta} f={f}: {x} fails the reduced "
-                         f"negative characterization")
-        cases += 1
+        yield None if (x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
+                       and period[0] == ()) else (
+            f"delta={delta} f={f}: {x} fails the reduced negative characterization")
+        # cycles seeds its walks rather than scanning every form, so this
+        # is the check that it lists each of them exactly once
         if f not in place:
-            # cycles seeds its walks rather than scanning every form, so
-            # this is the check that it lists them all
-            fails.append(f"delta={delta} f={f}: in no cycle that cycles "
-                         f"lists")
-            continue
-        nums, i = place[f]
-        want = nums[i:] + nums[:i]
-        if period != ((), want):
-            fails.append(f"delta={delta} f={f}: negative period "
-                         f"{period} vs reducing numbers {want}")
+            yield f"delta={delta} f={f}: in no cycle that cycles lists"
+        elif place[f] is None:
+            yield f"delta={delta} f={f}: in more than one listed cycle"
+        else:
+            nums, i = place[f]
+            want = nums[i:] + nums[:i]
+            yield None if period == ((), want) else (
+                f"delta={delta} f={f}: negative period {period} "
+                f"vs reducing numbers {want}")
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
         x = surd(f.b, 2 * f.a, delta)
         period = reg_cf_period(x)
-        cases += 1
-        if not (x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
-                and period[0] == ()):
-            fails.append(f"delta={delta} f={f}: {x} fails the reduced "
-                         f"regular characterization")
+        yield None if (x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
+                       and period[0] == ()) else (
+            f"delta={delta} f={f}: {x} fails the reduced regular characterization")
         if f.is_primitive():
-            cases += 1
-            if period != ((), _gamma(f)):
-                fails.append(f"delta={delta} f={f}: regular period "
-                             f"{period} vs gamma {_gamma(f)}")
-    return cases, fails
+            yield None if period == ((), _gamma(f)) else (
+                f"delta={delta} f={f}: regular period {period} vs gamma {_gamma(f)}")
 
 
 def _denjoy_bits_stepwise(p, q, delta, n):
@@ -469,7 +417,6 @@ def _denjoy_bits_stepwise(p, q, delta, n):
 
 
 def _lgz_sample(delta_max):
-    cases, fails = 0, []
     rng = random.Random(1729)
     hi = max(5, delta_max)
     for _ in range(500):
@@ -487,13 +434,14 @@ def _lgz_sample(delta_max):
         for kind, (pre, per), char in (
                 ("regular", reg_cf_period(x), reg_char),
                 ("negative", neg_cf_period(x), neg_char)):
-            cases += 1
             if (pre == ()) != char:
-                fails.append(f"x={x}: purely periodic {kind} "
-                             f"{pre == ()} but reduced is {char}")
+                yield (f"x={x}: purely periodic {kind} "
+                       f"{pre == ()} but reduced is {char}")
             elif pre and pre[-1] == per[-1]:
-                fails.append(f"x={x}: {kind} pre-period {pre} is not "
-                             f"minimal before period {per}")
+                yield (f"x={x}: {kind} pre-period {pre} is not "
+                       f"minimal before period {per}")
+            else:
+                yield None
     # cross-engine: the two conversion algorithms against the direct
     # expanders, on random reduced surds of either kind, 50 terms each
     pool = discriminants(max(hi, 120))
@@ -502,31 +450,26 @@ def _lgz_sample(delta_max):
         f = rng.choice(enumerate_z_reduced(d))
         x = surd(f.b, 2 * f.a, d)
         pre, per = neg_cf_period(x)
-        cases += 1
         if pre:
-            fails.append(f"x={x}: negative expansion not purely periodic")
+            yield f"x={x}: negative expansion not purely periodic"
         elif neg_to_reg_stream(per, 50) != reg_cf_surd(x, 50):
-            fails.append(f"x={x}: negative-to-regular stream diverges "
-                         f"from the direct expansion")
+            yield (f"x={x}: negative-to-regular stream diverges "
+                   f"from the direct expansion")
+        else:
+            yield None
         g = rng.choice([h for h in enumerate_g_reduced(d) if h.a > 0])
         y = surd(g.b, 2 * g.a, d)
         bits = reg_to_denjoy(reg_cf_surd(y, 50))
-        cases += 1
-        if bits[:50] != _denjoy_bits_stepwise(y.p, y.q, y.delta, 50):
-            fails.append(f"y={y}: regular-to-binary rewrite diverges "
-                         f"from the direct expansion")
-    return cases, fails
+        want = _denjoy_bits_stepwise(y.p, y.q, y.delta, 50)
+        yield None if bits[:50] == want else (
+            f"y={y}: regular-to-binary rewrite diverges from the direct expansion")
 
 
 def _continuant_work(n):
-    cases, fails = 0, []
     rng = random.Random(271828)
 
     def check(tag, s, got, want):
-        nonlocal cases
-        cases += 1
-        if got != want:
-            fails.append(f"s={s} [{tag}]: got {got} want {want}")
+        return None if got == want else f"s={s} [{tag}]: got {got} want {want}"
 
     fixed = [(1,), (2,), (9,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (3, 1, 2)]
     for i in range(int(n)):
@@ -539,32 +482,32 @@ def _continuant_work(n):
         left, right = continuant(s[:-1]), continuant(s[1:])
         inner = continuant(s[1:-1]) if l >= 2 else 0
         sign = (-1) ** l
-        check("symmetry", s, k, continuant(s[::-1]))
-        check("matrix", s, continuant_matrix(s), ((k, left), (right, inner)))
-        check("det", s, k * inner - left * right, sign)
+        yield check("symmetry", s, k, continuant(s[::-1]))
+        yield check("matrix", s, continuant_matrix(s), ((k, left), (right, inner)))
+        yield check("det", s, k * inner - left * right, sign)
         x = rng.randint(0, 5)
-        check("end_shift_last", s, continuant(s[:-1] + (s[-1] + x,)), k + x * left)
-        check("end_shift_first", s, continuant((s[0] + x,) + s[1:]), k + x * right)
-        check("ones_last", s, continuant(s + (1,)),
-              continuant(s[:-1] + (s[-1] + 1,)))
-        check("ones_first", s, continuant((1,) + s),
-              continuant((s[0] + 1,) + s[1:]))
+        yield check("end_shift_last", s, continuant(s[:-1] + (s[-1] + x,)),
+                    k + x * left)
+        yield check("end_shift_first", s, continuant((s[0] + x,) + s[1:]),
+                    k + x * right)
+        yield check("ones_last", s, continuant(s + (1,)),
+                    continuant(s[:-1] + (s[-1] + 1,)))
+        yield check("ones_first", s, continuant((1,) + s),
+                    continuant((s[0] + 1,) + s[1:]))
         if l >= 2:
             low_both = (s[0] - 1,) + s[1:-1] + (s[-1] - 1,)
             low_first = (s[0] - 1,) + s[1:]
             low_last = s[:-1] + (s[-1] - 1,)
-            check("det_lowered", s,
-                  k * continuant(low_both)
-                  - continuant(low_first) * continuant(low_last), sign)
-        check("zero_prepend", s, continuant((0,) + s), right)
-        check("zero_append", s, continuant(s + (0,)), left)
-    check("zero_single", (0,), continuant((0,)), 0)
-    check("empty", (), continuant(()), 1)
-    return cases, fails
+            yield check("det_lowered", s,
+                        k * continuant(low_both)
+                        - continuant(low_first) * continuant(low_last), sign)
+        yield check("zero_prepend", s, continuant((0,) + s), right)
+        yield check("zero_append", s, continuant(s + (0,)), left)
+    yield check("zero_single", (0,), continuant((0,)), 0)
+    yield check("empty", (), continuant(()), 1)
 
 
 def _tz_knead_work(n):
-    cases, fails = 0, []
     rng = random.Random(31415)
     samples = []
     for l in range(2, 7):
@@ -572,14 +515,9 @@ def _tz_knead_work(n):
     samples.extend(tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 12)))
                    for _ in range(int(n)))
     for s in samples:
-        cases += 1
         got, want = pinch_both(knead(pinch_both(s))), t_z(s)
-        if got != want:
-            fails.append(f"s={s}: pinch.knead.pinch={got} t_z={want}")
-        cases += 1
-        if sum(t_z(s)) != sum(s):
-            fails.append(f"s={s}: t_z changed the bead count")
-    return cases, fails
+        yield None if got == want else f"s={s}: pinch.knead.pinch={got} t_z={want}"
+        yield None if sum(t_z(s)) == sum(s) else f"s={s}: t_z changed the bead count"
 
 
 # suite id -> the units it runs at a bound
@@ -606,7 +544,8 @@ SUITE_IDS = list(_SUITES)
 
 def _work(unit):
     work, arg = unit
-    return work(arg)
+    items = list(work(arg))
+    return len(items), [m for m in items if m is not None]
 
 
 def verify(theorem_id: str, delta_max: int, jobs: int = 1) -> VerificationReport:

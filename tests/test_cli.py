@@ -126,10 +126,15 @@ def test_boundary_failures_exit_3(capsys):
     for argv in (("beta", "2", "5", "2"), ("sigma", "2", "5", "2"),
                  ("tau", "1,0"), ("tau", "1.5,2"), ("tau", "3"),
                  ("tau", ""), ("tau", " , "), ("xi", ""),
+                 ("tau", "1,,3"), ("tau", ",1,3"), ("tau", "1,3,"),
                  ("reduce", "1", "3", "2"), ("caliber", "1", "3", "2"),
                  ("cycles", "9")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "") and err.startswith("error:"), argv
+    # a missing bead is named, not dropped into a shorter string
+    for entries, nth in (("1,,3", 2), (",1,3", 1), ("1,3,", 3)):
+        err = run(capsys, "tau", entries)[2]
+        assert f"entry {nth} of {entries!r} is empty" in err, entries
 
 
 def test_usage_failures_exit_2(capsys):

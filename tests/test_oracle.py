@@ -1,6 +1,7 @@
 """The verification harness itself: reports, sweeps, and the slow oracle."""
 
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -155,10 +156,12 @@ def test_formfrombeads_units_pin_the_known_collision():
 
 
 def test_every_unit_pickles():
-    # jobs > 1 sends each unit to a worker process
+    # jobs > 1 sends each unit to a worker process; every body yields its
+    # cases, since _work would count a returned (cases, fails) as 2 cases
     for tid in SUITE_IDS:
         for unit in oracle._SUITES[tid](300):
             assert pickle.loads(pickle.dumps(unit)) == unit, tid
+            assert inspect.isgeneratorfunction(unit[0]), (tid, unit[0])
 
 
 def test_lgz_runs_the_same_in_a_worker_pool(monkeypatch):
@@ -179,9 +182,10 @@ def test_lgz_walks_each_period_once(monkeypatch):
     monkeypatch.setattr(contfrac, "_period", counting_period)
     for d in (5, 21, 60, 148):
         walks.clear()
-        oracle._lgz_forms(d)
+        _work((oracle._lgz_forms, d))
         forms = (len(enumerate_z_reduced(d))
                  + sum(f.a > 0 for f in enumerate_g_reduced(d)))
+        assert walks, d
         assert len(walks) == forms, d
 
 
@@ -223,12 +227,12 @@ def lgz_forms_walking_each_form(delta):
 
 def test_lgz_forms_match_a_cycle_walk_per_form(monkeypatch):
     for d in discriminants(300):
-        assert oracle._lgz_forms(d) == lgz_forms_walking_each_form(d), d
+        assert _work((oracle._lgz_forms, d)) == lgz_forms_walking_each_form(d), d
     # a wrong reducing number fails the same forms, in the same order
     z_number = oracle._z_number
     monkeypatch.setattr(oracle, "_z_number", lambda a, b, s: z_number(a, b, s) + 1)
     for d in discriminants(300):
-        got = oracle._lgz_forms(d)
+        got = _work((oracle._lgz_forms, d))
         assert got[1] and got == lgz_forms_walking_each_form(d), d
 
 
@@ -237,13 +241,25 @@ def test_lgz_records_a_form_that_no_listed_cycle_holds(monkeypatch):
     # dropped cycle is a failure per form of it, not a KeyError
     monkeypatch.setattr(oracle, "cycles", lambda delta: cycles(delta)[1:])
     dropped = cycles(148)[0]
-    cases, fails = oracle._lgz_forms(148)
+    cases, fails = _work((oracle._lgz_forms, 148))
     assert cases == lgz_forms_walking_each_form(148)[0]
     assert fails == [f"delta=148 f={f}: in no cycle that cycles lists"
                      for f in sorted(dropped)]
     rep = verify("lgz", 60)
     assert rep.failure_count > 0
     assert all("in no cycle" in f for f in rep.failures)
+
+
+def test_lgz_records_a_form_in_more_than_one_listed_cycle(monkeypatch):
+    # a cycle that cycles lists twice fails each of its forms once, under
+    # the membership case, so the case count stays the reference's
+    monkeypatch.setattr(oracle, "cycles", lambda d: cycles(d) + cycles(d)[:1])
+    assert [len(c) for c in cycles(148)] == [12, 7, 6, 6]
+    twice = cycles(148)[0]
+    cases, fails = _work((oracle._lgz_forms, 148))
+    assert cases == lgz_forms_walking_each_form(148)[0]
+    assert fails == [f"delta=148 f={f}: in more than one listed cycle"
+                     for f in enumerate_z_reduced(148) if f in twice]
 
 
 def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
@@ -253,10 +269,10 @@ def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
         pre, per = period(*args)
         return pre + per[:1], per[1:] + per[:1]
 
-    cases, fails = oracle._lgz_sample(200)
+    cases, fails = _work((oracle._lgz_sample, 200))
     assert fails == []
     monkeypatch.setattr(contfrac, "_period", late_period)
-    late_cases, late_fails = oracle._lgz_sample(200)
+    late_cases, late_fails = _work((oracle._lgz_sample, 200))
     # every case fails but the 50 regular-to-binary rewrites, which read
     # no period
     assert late_cases == cases
@@ -295,7 +311,8 @@ def _denjoy_work_through_denjoy_surd(delta):
 
 def test_denjoy_unit_matches_the_public_path():
     for d in discriminants(300):
-        assert oracle._denjoy_work(d) == _denjoy_work_through_denjoy_surd(d), d
+        assert (_work((oracle._denjoy_work, d))
+                == _denjoy_work_through_denjoy_surd(d)), d
 
 
 # (cases, failure_count, sha256 of the JSON failure list) of every suite but
