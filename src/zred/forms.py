@@ -135,7 +135,15 @@ def form(a: int, b: int, c: int) -> Form:
 
 
 def as_form(f) -> Form:
-    """f, a sequence of three integers, as a Form; ValueError otherwise."""
+    """f, a sequence of three integers, as a Form; ValueError otherwise.
+
+    A Form of three ints is returned as it is, not rebuilt, so a value
+    passed from one public call to the next is checked in constant time;
+    anything else, Form subclasses included, goes through as_ints.
+    """
+    if type(f) is Form and type(f[0]) is int and type(f[1]) is int \
+            and type(f[2]) is int:
+        return f
     return Form._make(as_ints(f, 3))
 
 
@@ -146,7 +154,9 @@ def act(f: Form, m: UnimodularMatrix) -> Form:
     act(f, M @ N).
     """
     a, b, c = as_form(f)
-    m = UnimodularMatrix._make(as_ints(m, 4))
+    if not (type(m) is UnimodularMatrix and type(m[0]) is int
+            and type(m[1]) is int and type(m[2]) is int and type(m[3]) is int):
+        m = UnimodularMatrix._make(as_ints(m, 4))
     if m.det() != 1:
         raise ValueError(f"matrix {m} is not unimodular (det {m.det()})")
     al, be, ga, de = m

@@ -28,8 +28,9 @@ from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
 
 
 def _automorph_z(f: Form) -> tuple:
-    t, u, eps = fundamental_solution(f.discriminant())
-    num = t + f.b * u
+    a, b, c = f
+    t, u, eps = fundamental_solution(b * b - 4 * a * c)
+    num = t + b * u
     assert num % 2 == 0, "t and b*u must share parity on one discriminant"
     return num // 2, u, eps
 
@@ -122,10 +123,11 @@ def _tau(t: tuple) -> Form:
     a = k - k_right
     c = k - k_left
     kk = k - k_left - k_right + k_inner
-    g = Form(a, k + kk, c)
-    assert g.discriminant() == (k - kk) ** 2 + (4 if len(t) % 2 == 0 else -4)
-    assert g.is_z_reduced(), f"tau left the Zagier-reduced set at {t}"
-    return g
+    b = k + kk
+    # the checks of Form.discriminant and Form.is_z_reduced, on the ints
+    assert b * b - 4 * a * c == (k - kk) ** 2 + (4 if len(t) % 2 == 0 else -4)
+    assert a > 0 and c > 0 and b > a + c, f"tau left the Zagier-reduced set at {t}"
+    return tuple.__new__(Form, (a, b, c))
 
 
 def tau(s) -> Form:

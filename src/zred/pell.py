@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .contfrac import _continuants, _period, _reg_reduced, _reg_step
-from .forms import as_int, check_delta
+from .forms import as_int, check_delta, nonsquare_isqrt
 
 
 class PellSolution(NamedTuple):
@@ -63,15 +63,24 @@ def _unit_from_omega(delta: int) -> PellSolution:
     return PellSolution(t, u, eps)
 
 
-@lru_cache(maxsize=1 << 16)
 def fundamental_solution(delta: int) -> PellSolution:
     """Smallest-u solution of |t^2 - delta*u^2| = 4, preferring epsilon = -4.
 
     delta must be positive and not a perfect square.  Requires nothing of
     delta mod 4; for delta = 2, 3 mod 4 the parity forces t, u even, and
     the unit is read off the reduced surd of discriminant 4*delta.
+
+    delta is coerced by as_int before the cache hashes it, so [61] raises
+    ValueError rather than TypeError; a cache hit on an int runs no isqrt.
     """
-    delta = check_delta(delta)
+    if type(delta) is not int:
+        delta = as_int(delta)
+    return _fundamental_solution(delta)
+
+
+@lru_cache(maxsize=1 << 16)
+def _fundamental_solution(delta: int) -> PellSolution:
+    nonsquare_isqrt(delta)
     for eps in (-4, 4):
         t2 = delta + eps
         if t2 > 0:
@@ -84,6 +93,10 @@ def fundamental_solution(delta: int) -> PellSolution:
     # the same equation for 4*delta, so the units correspond
     t, u, eps = _unit_from_omega(4 * delta)
     return PellSolution(t, 2 * u, eps)
+
+
+fundamental_solution.cache_clear = _fundamental_solution.cache_clear
+fundamental_solution.cache_info = _fundamental_solution.cache_info
 
 
 def minus_four_solvable(delta: int) -> bool:

@@ -31,7 +31,10 @@ def check_nat(s, min_len: int = 1) -> tuple:
 
 
 def check_bin(b: str, min_weight: int = 0) -> str:
-    if not isinstance(b, str) or not b or set(b) - {"0", "1"}:
+    """b itself, after checking it is a nonempty str over 0/1 with at least
+    min_weight ones; ValueError otherwise.  Stripping 0s and 1s from both
+    ends leaves nothing exactly when no other character occurs."""
+    if not isinstance(b, str) or not b or b.strip("01"):
         raise ValueError(f"need a nonempty string over 0/1, got {b!r}")
     if b.count("1") < min_weight:
         raise ValueError(f"need at least {min_weight} ones, got {b!r}")

@@ -1,15 +1,20 @@
 """Form arithmetic and the substitution action."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import zred
+from zred import forms as forms_module
 from zred.forms import (
     Form,
     UnimodularMatrix,
     act,
+    as_form,
     as_int,
+    as_ints,
     check_delta,
     check_indefinite,
     form,
@@ -188,3 +193,136 @@ def test_discriminant_checks():
             check_delta(bad)
     with pytest.raises(ValueError):
         check_delta(17.0)
+
+
+# as_form and act return a Form or a matrix of exact ints as they are; the
+# references below are their bodies before that fast path, which rebuilt
+# every value through as_ints
+
+
+def as_form_reference(f):
+    return Form._make(as_ints(f, 3))
+
+
+def act_reference(f, m):
+    a, b, c = as_form_reference(f)
+    m = UnimodularMatrix._make(as_ints(m, 4))
+    if m.det() != 1:
+        raise ValueError(f"matrix {m} is not unimodular (det {m.det()})")
+    al, be, ga, de = m
+    return Form(
+        a * al * al + b * al * ga + c * ga * ga,
+        2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de,
+        a * be * be + b * be * de + c * de * de,
+    )
+
+
+class FormSub(Form):
+    pass
+
+
+class MatrixSub(UnimodularMatrix):
+    pass
+
+
+def outcome(fn, *args):
+    """fn's result with its type, or its exception's type and message."""
+    try:
+        r = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return type(r), r
+
+
+odd = st.one_of(st.booleans(), st.floats(), st.fractions(max_denominator=3),
+                st.sampled_from(["7", " -3 ", "2.5"]))
+
+
+@st.composite
+def entries(draw, n):
+    """n small ints, some of them replaced by values that are not ints."""
+    xs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        xs[i] = draw(odd)
+    return xs
+
+
+def shapes(cls, sub, n):
+    """cls, a subclass, a tuple or a list of n entries, or a tuple of
+    another length."""
+    return st.one_of(
+        entries(n).map(lambda xs: cls(*xs)),
+        entries(n).map(lambda xs: sub(*xs)),
+        entries(n).map(tuple),
+        entries(n),
+        st.lists(st.one_of(st.integers(-3, 3), odd), max_size=n + 1)
+        .filter(lambda xs: len(xs) != n).map(tuple),
+    )
+
+
+@given(shapes(Form, FormSub, 3))
+def test_as_form_matches_the_rebuilding_reference(f):
+    assert outcome(as_form, f) == outcome(as_form_reference, f)
+
+
+@given(st.one_of(forms, shapes(Form, FormSub, 3)),
+       st.one_of(shapes(UnimodularMatrix, MatrixSub, 4), unimodular()))
+def test_act_matches_the_rebuilding_reference(f, m):
+    assert outcome(act, f, m) == outcome(act_reference, f, m)
+
+
+ODD = (True, False, 1.0, 2.5, float("nan"), Fraction(3), Fraction(1, 2), "7", "2.5")
+
+
+def test_each_spoiled_field_matches_the_rebuilding_reference():
+    f, m = [1, 5, 2], [1, 1, 0, 1]
+    for i, x in ((i, x) for i in range(4) for x in ODD):
+        m2 = m[:i] + [x] + m[i + 1:]
+        for mm in (UnimodularMatrix(*m2), MatrixSub(*m2), tuple(m2)):
+            assert outcome(act, Form(*f), mm) == outcome(act_reference, Form(*f), mm)
+        if i < 3:
+            f2 = f[:i] + [x] + f[i + 1:]
+            for ff in (Form(*f2), FormSub(*f2), tuple(f2), f2):
+                assert outcome(as_form, ff) == outcome(as_form_reference, ff)
+                assert outcome(act, ff, T) == outcome(act_reference, ff, T)
+
+
+@given(forms)
+def test_as_form_returns_a_form_of_ints_itself(f):
+    assert as_form(f) is f
+    assert type(as_form(FormSub(*f))) is Form
+    assert as_form(Form(True, f.b, f.c)) == Form(1, f.b, f.c)
+
+
+def test_typed_values_are_not_rebuilt(monkeypatch):
+    f, g = Form(1, 5, 2), Form(1, 3, -2)
+    calls = [(zred.beta, f), (zred.sigma, f), (zred.r_z, f),
+             (zred.z_caliber, f), (zred.orbit_to_cycle, f), (check_indefinite, f),
+             (zred.mu, g), (zred.gamma, g), (zred.r_g, g)]
+    want = [fn(list(x)) for fn, x in calls] + [act(list(f), list(T))]
+
+    def no_coercion(*args):
+        raise AssertionError("as_ints was called")
+
+    monkeypatch.setattr(forms_module, "as_ints", no_coercion)
+    assert [fn(x) for fn, x in calls] + [act(f, T)] == want
+    with pytest.raises(AssertionError):
+        as_form([1, 5, 2])
+
+
+# every public entry point that takes one form
+FORM_ENTRIES = [
+    zred.beta, zred.sigma, zred.gamma, zred.mu, zred.denjoy_period,
+    zred.class_invariants, zred.sigma_bar, zred.r_z, zred.r_g,
+    zred.reducing_number, zred.orbit_to_cycle, zred.z_caliber,
+    check_indefinite,
+]
+
+
+@pytest.mark.parametrize("fn", FORM_ENTRIES, ids=[fn.__name__ for fn in FORM_ENTRIES])
+@given(f=forms)
+def test_form_entries_agree_on_forms_and_lists(fn, f):
+    # a list takes the rebuilding path, a Form of ints the fast path
+    assert outcome(fn, f) == outcome(fn, list(f))
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        as_form(Form(1.5, 2, 1))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zred.forms import Form
+from zred.maps import beta
 from zred.pell import (
     PellSolution,
     fundamental_solution,
@@ -148,3 +150,30 @@ def test_large_discriminant_is_fast_enough():
     assert sol.t * sol.t - 1621 * sol.u * sol.u == sol.epsilon
     big = fundamental_solution(10**10 + 1)
     assert big.t * big.t - (10**10 + 1) * big.u * big.u == big.epsilon
+
+
+def test_wrong_shapes_raise_value_error():
+    # the argument is coerced before the cache hashes it
+    for bad in ([61], (61,), {61: 1}):
+        with pytest.raises(ValueError, match="expected an integer"):
+            fundamental_solution(bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            minus_four_solvable(bad)
+    assert minus_four_solvable(61) and not minus_four_solvable("21")
+
+
+def test_cache_controls_and_hits_without_isqrt(monkeypatch):
+    fundamental_solution.cache_clear()
+    assert fundamental_solution.cache_info().currsize == 0
+    f = Form(1, 7, 3)  # delta 37
+    want = beta(f)
+    assert fundamental_solution.cache_info().misses == 1
+
+    def no_isqrt(n):
+        raise AssertionError("isqrt on a cache hit")
+
+    monkeypatch.setattr(math, "isqrt", no_isqrt)
+    assert beta(f) == want
+    assert fundamental_solution(37) == fundamental_solution(37)
+    info = fundamental_solution.cache_info()
+    assert (info.hits, info.misses) == (3, 1)

@@ -53,6 +53,31 @@ def test_checkers():
         check_bin("000", min_weight=1)
 
 
+def check_bin_reference(b, min_weight=0):
+    # check_bin before it tested the alphabet with str.strip
+    if not isinstance(b, str) or not b or set(b) - {"0", "1"}:
+        raise ValueError(f"need a nonempty string over 0/1, got {b!r}")
+    if b.count("1") < min_weight:
+        raise ValueError(f"need at least {min_weight} ones, got {b!r}")
+    return b
+
+
+def check_outcome(fn, b, w):
+    try:
+        r = fn(b, w)
+    except ValueError as e:
+        return ValueError, str(e)
+    assert r is b
+    return r
+
+
+def test_check_bin_matches_the_set_reference():
+    words = ["".join(p) for n in range(5) for p in product("01 2", repeat=n)]
+    for b in words + [b"01", ["0"], None, 101]:
+        for w in (0, 1, 2):
+            assert check_outcome(check_bin, b, w) == check_outcome(check_bin_reference, b, w)
+
+
 def test_sb_frozen():
     assert sb((2, 1, 3)) == "01100"
     assert sb((1, 3, 1, 1)) == "10011"
