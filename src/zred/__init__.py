@@ -7,6 +7,8 @@ fraction expansions (regular, negative, and binary).  All arithmetic is
 exact and in pure Python.
 """
 
+import importlib
+
 from .contfrac import (
     QuadraticSurd,
     cf_expand,
@@ -37,7 +39,6 @@ from .maps import (
     tau,
     xi,
 )
-from .oracle import SUITE_IDS, VerificationReport, expand_surd_oracle, verify
 from .pell import (
     PellSolution,
     fundamental_solution,
@@ -79,6 +80,19 @@ from .strings import (
 )
 
 __version__ = "0.1.0"
+
+# The verification suites are the largest module and no map uses them, so
+# `oracle` loads on first use of one of its names, not with the package.
+# (`from . import oracle` would look the name up here first and recurse.)
+_ORACLE_NAMES = frozenset({"SUITE_IDS", "VerificationReport", "expand_surd_oracle", "verify"})
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlternatingNecklace", "ClassInvariants", "ColoredBin", "Form",
