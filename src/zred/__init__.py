@@ -25,26 +25,10 @@ from .contfrac import (
     reg_to_denjoy,
     surd,
 )
-from .forms import Form, UnimodularMatrix, act, form, form_from_json, form_to_json
+from .forms import Form, UnimodularMatrix, act, form, form_to_json
 from .kernel import backend
-from .maps import (
-    ClassInvariants,
-    beta,
-    class_invariants,
-    denjoy_period,
-    gamma,
-    mu,
-    sigma,
-    sigma_bar,
-    tau,
-    xi,
-)
-from .pell import (
-    PellSolution,
-    fundamental_solution,
-    minus_four_solvable,
-    solve_pell_bruteforce,
-)
+from .maps import beta, denjoy_period, gamma, mu, sigma, sigma_bar, tau, xi
+from .pell import PellSolution, fundamental_solution, solve_pell_bruteforce
 from .reduction import (
     OrbitResult,
     cycles,
@@ -60,7 +44,6 @@ from .strings import (
     AlternatingNecklace,
     ColoredBin,
     Necklace,
-    alternating_equal,
     alternating_necklace,
     eta_minus,
     eta_plus,
@@ -76,7 +59,6 @@ from .strings import (
     sb_inv,
     t_g,
     t_z,
-    weight,
 )
 
 __version__ = "0.1.0"
@@ -95,21 +77,18 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AlternatingNecklace", "ClassInvariants", "ColoredBin", "Form",
-    "Necklace", "OrbitResult", "PellSolution", "QuadraticSurd",
-    "SUITE_IDS", "UnimodularMatrix", "VerificationReport", "act",
-    "alternating_equal", "alternating_necklace", "backend", "beta",
-    "cf_expand", "class_invariants", "continuant",
-    "continuant_matrix", "cycles", "denjoy_period", "denjoy_surd",
-    "enumerate_g_reduced", "enumerate_z_reduced", "eta_minus", "eta_plus",
-    "expand_surd_oracle", "form", "form_from_json",
-    "form_to_json", "fundamental_solution", "gamma", "is_primitive",
-    "is_purely_periodic_neg", "is_purely_periodic_reg", "knead",
-    "least_rotation", "minus_four_solvable", "mu", "necklace",
-    "neg_cf_period", "neg_cf_surd", "neg_to_reg_stream", "orbit_to_cycle",
-    "pinch_both", "pinch_left", "pinch_right", "r_g", "r_z",
-    "reducing_number", "reg_cf_period", "reg_cf_surd", "reg_to_denjoy",
-    "rotate_bin", "sb", "sb_inv", "sigma", "sigma_bar",
-    "solve_pell_bruteforce", "surd", "t_g", "t_z", "tau", "verify",
-    "weight", "xi", "z_caliber",
+    "AlternatingNecklace", "ColoredBin", "Form", "Necklace", "OrbitResult",
+    "PellSolution", "QuadraticSurd", "SUITE_IDS", "UnimodularMatrix",
+    "VerificationReport", "act", "alternating_necklace", "backend", "beta",
+    "cf_expand", "continuant", "continuant_matrix", "cycles",
+    "denjoy_period", "denjoy_surd", "enumerate_g_reduced",
+    "enumerate_z_reduced", "eta_minus", "eta_plus", "expand_surd_oracle",
+    "form", "form_to_json", "fundamental_solution", "gamma",
+    "is_primitive", "is_purely_periodic_neg", "is_purely_periodic_reg",
+    "knead", "least_rotation", "mu", "necklace", "neg_cf_period",
+    "neg_cf_surd", "neg_to_reg_stream", "orbit_to_cycle", "pinch_both",
+    "pinch_left", "pinch_right", "r_g", "r_z", "reducing_number",
+    "reg_cf_period", "reg_cf_surd", "reg_to_denjoy", "rotate_bin", "sb",
+    "sb_inv", "sigma", "sigma_bar", "solve_pell_bruteforce", "surd", "t_g",
+    "t_z", "tau", "verify", "xi", "z_caliber",
 ]

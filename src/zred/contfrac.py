@@ -106,16 +106,6 @@ class QuadraticSurd(NamedTuple):
     def __str__(self) -> str:
         return f"({self.p}+sqrt({self.delta}))/{self.q}"
 
-    def floor(self) -> int:
-        s = math.isqrt(self.delta)
-        if self.q > 0:
-            return (self.p + s) // self.q
-        return -((self.p + s) // (-self.q)) - 1
-
-    def ceil(self) -> int:
-        # the value is irrational, so ceiling = floor + 1
-        return self.floor() + 1
-
     def cmp(self, m: int) -> int:
         """Sign of self - m for an integer m (never 0)."""
         t = self.p - m * self.q

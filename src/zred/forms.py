@@ -50,12 +50,6 @@ class Form(NamedTuple):
         """Flip the signs of the outer coefficients: (a, b, c) -> (-a, b, -c)."""
         return Form(-self.a, self.b, -self.c)
 
-    def scalar_mul(self, u: int) -> "Form":
-        u = as_int(u)
-        if u < 1:
-            raise ValueError("scalar must be a positive integer")
-        return Form(u * self.a, u * self.b, u * self.c)
-
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
 
@@ -177,9 +171,3 @@ def check_indefinite(f: Form) -> int:
 def form_to_json(f: Form) -> list:
     """Coefficients as decimal strings, the wire format for forms."""
     return [str(f.a), str(f.b), str(f.c)]
-
-
-def form_from_json(obj) -> Form:
-    if not isinstance(obj, (list, tuple)):
-        raise ValueError(f"expected a 3-element array of coefficients, got {obj!r}")
-    return as_form(obj)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .forms import Form
+
 
 def backend() -> str:
     """Name of the kernel implementation; there is one, in pure Python."""
@@ -31,7 +33,7 @@ def euclid_quotients(num: int, den: int) -> list:
 
 
 def z_reduced_forms(delta: int) -> list:
-    """All Zagier-reduced (a, b, c) with b*b - 4*a*c == delta, sorted.
+    """All Zagier-reduced Forms (a, b, c) with b*b - 4*a*c == delta, sorted.
 
     Parametrized by d = a - c >= 0 (the form (c, b, a) has -d) and
     s = a + c: then
@@ -49,6 +51,7 @@ def z_reduced_forms(delta: int) -> list:
     first d that leaves no e.  That is about delta/4 trial divisions in
     all, against about 0.8 delta for every e below sqrt(n).
     """
+    new = tuple.__new__
     out = []
     d = 0
     while True:
@@ -63,16 +66,16 @@ def z_reduced_forms(delta: int) -> list:
                     if (f - e - 2 * d) % 4 == 0:
                         b, s = (e + f) // 2, (f - e) // 2
                         a, c = (s + d) // 2, (s - d) // 2
-                        out.append((a, b, c))
+                        out.append(new(Form, (a, b, c)))
                         if d > 0:
-                            out.append((c, b, a))
+                            out.append(new(Form, (c, b, a)))
         d += 1
     out.sort()
     return out
 
 
 def g_reduced_forms(delta: int) -> list:
-    """All Gauss-reduced (a, b, c) of discriminant delta, both signs, sorted.
+    """All Gauss-reduced Forms of discriminant delta, both signs, sorted.
 
     Each form is (a, b, -c) or (-a, b, c) with 1 <= a <= c, a*c = m and
     b*b + 4m = delta, so b has the parity of delta and b < sqrt(delta).
@@ -80,6 +83,7 @@ def g_reduced_forms(delta: int) -> list:
     a > (sqrt(delta) - b)/2 >= (isqrt(delta) - b)//2, so the divisors a
     start just above that floor and stop at isqrt(m).
     """
+    new = tuple.__new__
     out = []
     r = math.isqrt(delta)
     for b in range(2 - delta % 2, r + 1, 2):
@@ -90,11 +94,11 @@ def g_reduced_forms(delta: int) -> list:
         for a in range((r - b) // 2 + 1, math.isqrt(m) + 1):
             if m % a == 0:
                 c = m // a
-                out.append((a, b, -c))
-                out.append((-a, b, c))
+                out.append(new(Form, (a, b, -c)))
+                out.append(new(Form, (-a, b, c)))
                 if a != c:
-                    out.append((c, b, -a))
-                    out.append((-c, b, a))
+                    out.append(new(Form, (c, b, -a)))
+                    out.append(new(Form, (-c, b, a)))
     out.sort()
     return out
 

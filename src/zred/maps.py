@@ -13,8 +13,6 @@ carries Gauss-reduced forms onto Zagier-reduced ones.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .contfrac import _cf_parity, _continuants
 from .forms import Form, as_form, nonsquare_isqrt
 from .pell import fundamental_solution
@@ -158,19 +156,6 @@ def xi(s) -> Form:
     assert g.discriminant() == (k + inner) ** 2 + (4 if len(t) % 2 == 1 else -4)
     assert g.is_g_reduced() and g.a > 0, f"xi left the Gauss-reduced set at {t}"
     return g
-
-
-class ClassInvariants(NamedTuple):
-    weight: int
-    length: int
-    parity: str
-
-
-def class_invariants(f: Form) -> ClassInvariants:
-    """Weight and length of sigma with the parity they share on a class."""
-    s = sigma(f)
-    w = s.count("1")
-    return ClassInvariants(w, len(s), "odd" if w % 2 else "even")
 
 
 def _denjoy_period(f: Form) -> str:

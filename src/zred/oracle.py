@@ -557,7 +557,7 @@ def verify(theorem_id: str, delta_max: int, jobs: int = 1) -> VerificationReport
     os.cpu_count() processes; results are merged in unit order either
     way.
     """
-    if theorem_id not in _SUITES:
+    if not isinstance(theorem_id, str) or theorem_id not in _SUITES:
         known = ", ".join(SUITE_IDS)
         raise ValueError(f"unknown suite {theorem_id!r}; known suites: {known}")
     bound = as_int(delta_max)

@@ -97,8 +97,3 @@ def _fundamental_solution(delta: int) -> PellSolution:
 
 fundamental_solution.cache_clear = _fundamental_solution.cache_clear
 fundamental_solution.cache_info = _fundamental_solution.cache_info
-
-
-def minus_four_solvable(delta: int) -> bool:
-    """Whether t^2 - delta*u^2 = -4 has a solution."""
-    return fundamental_solution(delta).epsilon == -4

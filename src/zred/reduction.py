@@ -146,12 +146,12 @@ def enumerate_z_reduced(delta: int) -> list:
 
     Empty for delta = 2, 3 mod 4, where no integral form exists.
     """
-    return [Form(*t) for t in kernel.z_reduced_forms(check_delta(delta))]
+    return kernel.z_reduced_forms(check_delta(delta))
 
 
 def enumerate_g_reduced(delta: int) -> list:
     """All Gauss-reduced forms of discriminant delta, both signs of a."""
-    return [Form(*t) for t in kernel.g_reduced_forms(check_delta(delta))]
+    return kernel.g_reduced_forms(check_delta(delta))
 
 
 def cycles(delta: int, op: str = "z") -> list:
@@ -173,7 +173,7 @@ def cycles(delta: int, op: str = "z") -> list:
     _check_op(op)
     d = as_int(delta)
     s = nonsquare_isqrt(d)
-    seeds = map(Form._make, kernel.g_reduced_forms(d))
+    seeds = kernel.g_reduced_forms(d)
     if op == "z":
         seeds = (_mu(f) for f in seeds if f.a > 0)
     seen = set()

@@ -63,10 +63,6 @@ def sb_inv(b: str):
     return tuple(len(block) + 1 for block in b.split("1"))
 
 
-def weight(b: str) -> int:
-    return check_bin(b).count("1")
-
-
 def eta_plus(s) -> tuple:
     """Prepend a 1."""
     return (1,) + check_nat(s)
@@ -216,10 +212,10 @@ def necklace(b: str) -> Necklace:
     return Necklace(least_rotation(check_bin(b, min_weight=1)))
 
 
-def _greens(x: ColoredBin) -> list:
-    bits, green = check_bin(x.bits, min_weight=1), as_int(x.green)
+def _greens(bits: str, green: int) -> list:
+    bits, green = check_bin(bits, min_weight=1), as_int(green)
     if not (0 <= green < len(bits)) or bits[green] != "1":
-        raise ValueError(f"marked position must hold a 1, got {x}")
+        raise ValueError(f"marked position {green} of {bits!r} must hold a 1")
     ones = [i for i, ch in enumerate(bits) if ch == "1"]
     k = ones.index(green)
     # walk the ones cyclically from the mark; every second one shares its color
@@ -227,17 +223,20 @@ def _greens(x: ColoredBin) -> list:
 
 
 def alternating_necklace(x: ColoredBin) -> AlternatingNecklace:
-    bits = x.bits
-    canon = least_rotation(check_bin(bits, min_weight=1))
+    """The alternating necklace of x, a ColoredBin or a (bits, green) pair.
+
+    Like as_form with a triple, a str is rejected rather than read one
+    character at a time, so "10" is not taken for ColoredBin("1", "0");
+    so is anything else that is not a pair, with ValueError.
+    """
+    try:
+        bits, green = () if isinstance(x, (str, bytes)) else x
+    except (TypeError, ValueError):  # a str, not iterable, or not a pair
+        raise ValueError(f"expected a (bits, green) pair, got {x!r}") from None
+    greens = _greens(bits, green)
+    canon = least_rotation(bits)
     n = len(bits)
-    greens = _greens(x)
     # the rotations fixing bits are the multiples of its primitive period
     r0, step = (bits + bits).find(canon), len(primitive_root(bits))
     phases = ((g - r) % n for r in range(r0, n, step) for g in greens)
     return AlternatingNecklace(canon, min(phases))
-
-
-def alternating_equal(x: ColoredBin, y: ColoredBin) -> bool:
-    """Whether some rotation matches the bits and sends mark-colored ones
-    of x onto mark-colored ones of y."""
-    return alternating_necklace(x) == alternating_necklace(y)

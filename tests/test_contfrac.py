@@ -201,7 +201,7 @@ def test_cf_parity_splits_the_last_quotient():
 def test_surd_invariant_rescaling():
     x = surd(0, 3, 2)
     assert (x.p, x.q, x.delta) == (0, 9, 18)
-    assert x.floor() == 0
+    assert reg_cf_surd(x, 1) == (0,)
     # rescaling leaves the represented value alone
     assert reg_cf_surd(x, 8) == reg_cf_surd(surd(0, 3, 2), 8)
 
@@ -286,19 +286,20 @@ def test_non_integral_input_is_rejected():
 
 
 def test_floor_ceil_golden_ratio():
+    # a surd's floor and ceiling are its first regular and negative quotients
     golden = surd(1, 2, 5)
-    assert golden.floor() == 1
-    assert golden.ceil() == 2
+    assert reg_cf_surd(golden, 1) == (1,)
+    assert neg_cf_surd(golden, 1) == (2,)
     neg = surd(1, -2, 5)  # (1 + sqrt 5)/(-2), about -1.618
-    assert neg.floor() == -2
-    assert neg.ceil() == -1
+    assert reg_cf_surd(neg, 1) == (-2,)
+    assert neg_cf_surd(neg, 1) == (-1,)
 
 
 @settings(max_examples=300)
 @given(surds())
 def test_floor_matches_interval_reference(x):
-    assert x.floor() == bracket_floor(x)
-    assert x.ceil() == bracket_floor(x) + 1
+    assert reg_cf_surd(x, 1)[0] == bracket_floor(x)
+    assert neg_cf_surd(x, 1)[0] == bracket_floor(x) + 1
 
 
 @given(surds(), st.integers(-12, 12))

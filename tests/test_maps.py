@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from zred.contfrac import continuant
 from zred.forms import Form
 from zred.maps import (
-    ClassInvariants,
     _beta,
     _denjoy_period,
     _gamma,
@@ -25,7 +24,6 @@ from zred.maps import (
     _sigma,
     _tau,
     beta,
-    class_invariants,
     denjoy_period,
     gamma,
     mu,
@@ -162,8 +160,10 @@ def test_sigma_bar_separates_the_two_classes_of_even_weight():
 
 
 def test_class_invariants():
-    assert class_invariants(Form(1, 5, 2)) == ClassInvariants(3, 5, "odd")
-    assert class_invariants(Form(4, 9, 4)) == ClassInvariants(3, 5, "odd")
+    # weight and length of sigma, the same on both forms of the class
+    for f in (Form(1, 5, 2), Form(4, 9, 4)):
+        s = sigma(f)
+        assert (s.count("1"), len(s)) == (3, 5)
 
 
 def test_denjoy_period_frozen():
@@ -269,7 +269,7 @@ def test_tau_core_matches_tau(t):
 def test_boundary_rejects_square_discriminants():
     # (2, 5, 2) has the Zagier-reduced shape but delta = 9; (3, 4, -4) has
     # the Gauss-reduced shape but delta = 64
-    for fn in (beta, sigma, denjoy_period, class_invariants):
+    for fn in (beta, sigma, denjoy_period):
         with pytest.raises(ValueError):
             fn(Form(2, 5, 2))
     for fn in (gamma, mu):

@@ -79,6 +79,10 @@ def test_verify_validation():
         verify("rotation", 100.5)
     with pytest.raises(ValueError):
         verify("rotation", 100, jobs=1.5)
+    # a suite id of the wrong type is an unknown suite, not a TypeError
+    for bad in (["rotation"], {"rotation": 1}):
+        with pytest.raises(ValueError, match="known suites"):
+            verify(bad, 10)
 
 
 def test_suite_ids_are_stable():

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from zred.forms import Form
 from zred.maps import beta
-from zred.pell import (
-    PellSolution,
-    fundamental_solution,
-    minus_four_solvable,
-    solve_pell_bruteforce,
-)
+from zred.pell import PellSolution, fundamental_solution, solve_pell_bruteforce
 
 # independently computed minimal solutions
 FROZEN = {
@@ -134,9 +129,9 @@ def test_minus_four_on_primes():
 
     for p in primes(500):
         if p % 4 == 1:
-            assert minus_four_solvable(p), p
+            assert fundamental_solution(p).epsilon == -4, p
         elif p % 4 == 3:
-            assert not minus_four_solvable(p), p
+            assert fundamental_solution(p).epsilon == 4, p
 
 
 def test_str_format():
@@ -157,9 +152,8 @@ def test_wrong_shapes_raise_value_error():
     for bad in ([61], (61,), {61: 1}):
         with pytest.raises(ValueError, match="expected an integer"):
             fundamental_solution(bad)
-        with pytest.raises(ValueError, match="expected an integer"):
-            minus_four_solvable(bad)
-    assert minus_four_solvable(61) and not minus_four_solvable("21")
+    assert fundamental_solution(61).epsilon == -4
+    assert fundamental_solution("21").epsilon == 4
 
 
 def test_cache_controls_and_hits_without_isqrt(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zred.contfrac import surd
+from zred.contfrac import neg_cf_surd, reg_cf_surd, surd
 from zred.forms import Form
-from zred.maps import tau
+from zred.maps import mu, tau
 from zred.oracle import discriminants
 from zred.strings import is_primitive
 from zred.reduction import (
@@ -246,13 +246,13 @@ def test_reducing_number_at_least_two_on_reduced(a, b, c):
 def r_z_reference(f):
     """The Zagier step with its multiplier taken from the surd engine."""
     a, b, c = f
-    n = surd(b, 2 * a, f.discriminant()).ceil()
+    (n,) = neg_cf_surd(surd(b, 2 * a, f.discriminant()), 1)
     return Form(a * n * n - b * n + c, 2 * a * n - b, a)
 
 
 def r_g_reference(f):
     a, b, c = f
-    m = surd(b, 2 * abs(a), f.discriminant()).floor()
+    (m,) = reg_cf_surd(surd(b, 2 * abs(a), f.discriminant()), 1)
     n = m if a > 0 else -m
     return Form(a * n * n - b * n + c, 2 * a * n - b, a)
 
@@ -268,7 +268,8 @@ indefinite = st.builds(Form, coefficient, coefficient, coefficient).filter(
 @given(indefinite)
 def test_r_z_matches_surd_reference(f):
     assert r_z(f) == r_z_reference(f)
-    assert reducing_number(f) == surd(f.b, 2 * f.a, f.discriminant()).ceil()
+    x = surd(f.b, 2 * f.a, f.discriminant())
+    assert (reducing_number(f),) == neg_cf_surd(x, 1)
 
 
 def test_r_z_reference_sees_both_signs_and_big_coefficients():
@@ -355,6 +356,28 @@ def test_cycles_on_long_zagier_cycles():
         cyc = cycles(delta)
         assert (sum(map(len, cyc)), len(cyc)) == want, delta
         assert cyc == cycles_reference(delta, "z"), delta
+
+
+def test_mu_refines_gauss_cycles():
+    # Zagier reduction refines Gauss reduction, cycle by cycle: mu sends the
+    # a > 0 members of each Gauss cycle into one Zagier cycle, in their
+    # cyclic order, one to one from the Gauss cycles of delta onto its
+    # Zagier cycles.  Every delta with forms up to 3000, scaled forms
+    # included.
+    for delta in discriminants(3000):
+        zcyc = cycles(delta, "z")
+        where = {f: (k, i) for k, c in enumerate(zcyc) for i, f in enumerate(c)}
+        assert len(where) == sum(map(len, zcyc)), delta
+        hit = []
+        for gc in cycles(delta, "g"):
+            spots = [where.get(mu(f)) for f in gc if f.a > 0]
+            assert None not in spots, (delta, gc)
+            (k,) = {k for k, _ in spots}
+            # in cyclic order: the positions descend once, at the wrap-around
+            pos = [i for _, i in spots]
+            assert sum(pos[j - 1] >= pos[j] for j in range(len(pos))) == 1, (delta, gc)
+            hit.append(k)
+        assert sorted(hit) == list(range(len(zcyc))), delta
 
 
 def test_cores_match_public_steps_on_every_reduced_form():

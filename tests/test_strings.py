@@ -12,7 +12,6 @@ from zred.strings import (
     ColoredBin,
     Necklace,
     _greens,
-    alternating_equal,
     alternating_necklace,
     check_bin,
     check_nat,
@@ -30,7 +29,6 @@ from zred.strings import (
     sb_inv,
     t_g,
     t_z,
-    weight,
 )
 
 nat2 = st.lists(st.integers(1, 9), min_size=2, max_size=8).map(tuple)
@@ -120,7 +118,7 @@ def test_sb_inv_matches_the_bar_scan_on_every_short_string():
 def test_sb_round_trip(s):
     b = sb(s)
     assert len(b) == sum(s) - 1
-    assert weight(b) == len(s) - 1
+    assert b.count("1") == len(s) - 1
     assert sb_inv(b) == s
 
 
@@ -222,7 +220,7 @@ def test_rotate_bin_cases():
 def test_rotate_bin_is_a_rotation(b):
     r = rotate_bin(b)
     assert len(r) == len(b)
-    assert weight(r) == weight(b)
+    assert r.count("1") == b.count("1")
     assert r in (b[i:] + b[:i] for i in range(len(b)))
 
 
@@ -273,12 +271,12 @@ def test_alternating_necklace_colors():
     x = ColoredBin("1001", 0)
     y = ColoredBin("1001", 3)
     assert alternating_necklace(x) != alternating_necklace(y)
-    assert not alternating_equal(x, y)
     # rotating bits and mark together changes nothing
-    assert alternating_equal(x, ColoredBin("0110", 2))
-    assert alternating_equal(y, ColoredBin("0110", 1))
+    assert alternating_necklace(x) == alternating_necklace(ColoredBin("0110", 2))
+    assert alternating_necklace(y) == alternating_necklace(ColoredBin("0110", 1))
     # with two 1s adjacent, one rotation swaps the colors
-    assert alternating_equal(ColoredBin("11", 0), ColoredBin("11", 1))
+    assert alternating_necklace(ColoredBin("11", 0)) == \
+        alternating_necklace(ColoredBin("11", 1))
 
 
 def test_alternating_necklace_validation():
@@ -286,6 +284,15 @@ def test_alternating_necklace_validation():
         alternating_necklace(ColoredBin("1001", 1))
     with pytest.raises(ValueError):
         alternating_necklace(ColoredBin("1001", 7))
+    # a plain (bits, green) pair is read like a ColoredBin
+    want = alternating_necklace(ColoredBin("1001", 3))
+    assert alternating_necklace(("1001", 3)) == alternating_necklace(["1001", 3]) == want
+    # a str is not read one character at a time: "10" is not
+    # ColoredBin("1", "0"); None and sequences of the wrong length are
+    # the wrong shape too
+    for bad in ("10", "101", None, 5, (), ("101",), ("101", 0, 1)):
+        with pytest.raises(ValueError, match=r"expected a \(bits, green\) pair"):
+            alternating_necklace(bad)
 
 
 def test_alternating_necklace_coerces_the_mark():
@@ -293,7 +300,7 @@ def test_alternating_necklace_coerces_the_mark():
     with pytest.raises(ValueError):
         alternating_necklace(ColoredBin("101", 0.0))
     with pytest.raises(ValueError):
-        alternating_equal(ColoredBin("101", 2.0), ColoredBin("101", 0))
+        alternating_necklace(ColoredBin("101", 2.0))
     # a decimal string is an integer at the boundary, as everywhere else
     assert alternating_necklace(ColoredBin("101", "0")) == \
         alternating_necklace(ColoredBin("101", 0))
@@ -317,7 +324,7 @@ def alternating_necklace_by_scan(x):
     phases = []
     for r in range(n):
         if bits[r:] + bits[:r] == canon:
-            phases.extend((g - r) % n for g in _greens(x))
+            phases.extend((g - r) % n for g in _greens(*x))
     return AlternatingNecklace(canon, min(phases))
 
 
