@@ -216,10 +216,28 @@ def _period(x: QuadraticSurd, step, reduced) -> tuple:
     while not reduced(p, q, s):
         a, p, q = step(p, q, d, s)
         pre.append(a)
+    # Reduced states stay reduced and have q > 0, so the period is stepped
+    # inline with no sign branch: the negative quotient is the regular one
+    # plus 1, and the next q's numerator changes sign.
     p0, q0 = p, q
-    while not per or p != p0 or q != q0:
-        a, p, q = step(p, q, d, s)
-        per.append(a)
+    if step is _neg_step:
+        while True:
+            a = (p + s) // q + 1
+            p = a * q - p
+            q, r = divmod(p * p - d, q)
+            assert r == 0, "surd state lost the divisibility invariant"
+            per.append(a)
+            if p == p0 and q == q0:
+                break
+    else:
+        while True:
+            a = (p + s) // q
+            p = a * q - p
+            q, r = divmod(d - p * p, q)
+            assert r == 0, "surd state lost the divisibility invariant"
+            per.append(a)
+            if p == p0 and q == q0:
+                break
     return tuple(pre), tuple(per)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Set as AbstractSet
 from typing import NamedTuple
 
 
@@ -93,10 +94,12 @@ def as_ints(s, n: int | None = None) -> tuple:
     """s as a tuple of ints, each coerced by as_int; of length n if given.
 
     A str or bytes is rejected rather than read one character at a time,
-    so "31" is not taken for (3, 1); so is anything not iterable, and a
-    sequence of the wrong length, all with ValueError.
+    so "31" is not taken for (3, 1); so are a set, a frozenset and a
+    mapping, whose iteration order is not an order of entries, anything
+    not iterable, and a sequence of the wrong length, all with ValueError.
     """
-    if isinstance(s, (str, bytes)):
+    if not isinstance(s, (tuple, list)) \
+            and isinstance(s, (str, bytes, AbstractSet, Mapping)):
         raise ValueError(f"expected a sequence of integers, got {s!r}")
     try:
         t = tuple(map(as_int, s))

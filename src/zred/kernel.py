@@ -103,6 +103,13 @@ def g_reduced_forms(delta: int) -> list:
     return out
 
 
+# the binary block "1" + "01" * (a - 1) of each regular quotient a < 32, so
+# the reduced loop indexes a block rather than builds it; on the surds of
+# Zagier-reduced forms q is even, so a <= isqrt(delta) and the table holds
+# every reduced quotient for delta < 1024
+_BLOCKS = tuple("1" + "01" * (a - 1) for a in range(32))
+
+
 def denjoy_bits(p: int, q: int, delta: int, n: int) -> str:
     """First n Denjoy quotients of (p + sqrt(delta))/q as a 0/1 string.
 
@@ -116,28 +123,21 @@ def denjoy_bits(p: int, q: int, delta: int, n: int) -> str:
     (Galois), and each step depends on the state alone, so when the
     first reduced state comes back every later bit repeats the bits
     since it.  The rest is filled by repetition: the cost is the
-    pre-period plus one period of steps, whatever n is.
+    pre-period plus one period of steps, whatever n is.  A reduced state
+    has q > 0 and quotient a >= 1, so the second loop steps it with no
+    sign branch and no reduced test.
     """
     s = math.isqrt(delta)
     out = []
     left = n
-    mark = -1  # index in out of the first block from a reduced state
-    while left > 0:
-        if mark < 0:
-            # contfrac._reg_reduced, inline
-            if 0 < q <= p + s and p <= s < p + q:
-                mark, p0, q0 = len(out), p, q
-        elif p == p0 and q == q0:
-            per = "".join(out[mark:])
-            k, r = divmod(left, len(per))
-            out.append(per * k + per[:r])
-            break
+    # the pre-period; contfrac._reg_reduced, inline
+    while left > 0 and not (0 < q <= p + s and p <= s < p + q):
         a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
         if a >= 1:
             size = 2 * a - 1
             if size >= left:
                 out.append(("1" + "01" * min(a - 1, left // 2))[:left])
-                break
+                return "".join(out)
             out.append("1" + "01" * (a - 1))
             left -= size
         elif a == 0:
@@ -149,4 +149,21 @@ def denjoy_bits(p: int, q: int, delta: int, n: int) -> str:
         q1, r = divmod(delta - p1 * p1, q)
         assert r == 0, "surd state lost the divisibility invariant"
         p, q = p1, q1
+    mark, p0, q0 = len(out), p, q
+    while left > 0:
+        a = (p + s) // q
+        size = 2 * a - 1
+        if size >= left:
+            out.append(("1" + "01" * min(a - 1, left // 2))[:left])
+            break
+        out.append(_BLOCKS[a] if a < 32 else "1" + "01" * (a - 1))
+        left -= size
+        p = a * q - p
+        q, r = divmod(delta - p * p, q)
+        assert r == 0, "surd state lost the divisibility invariant"
+        if p == p0 and q == q0:
+            per = "".join(out[mark:])
+            k, r = divmod(left, len(per))
+            out.append(per * k + per[:r])
+            break
     return "".join(out)

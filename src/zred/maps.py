@@ -159,7 +159,8 @@ def xi(s) -> Form:
 
 
 def _denjoy_period(f: Form) -> str:
-    return _sigma(f).replace("0", "01")
+    # _sigma(f) with every 0 thickened to 01, built in one join
+    return "1".join(["01" * (q - 1) for q in _beta(f)])
 
 
 def denjoy_period(f: Form) -> str:

@@ -145,10 +145,17 @@ def rotate_bin(b: str) -> str:
 
 
 def primitive_root(s):
-    """Shortest block whose repetition is s."""
+    """Shortest block whose repetition is s, a str or a tuple.
+
+    On a str the block is s up to the least shift that maps s onto
+    itself, which is the first match of s inside s + s past index 0;
+    that shift always divides len(s).
+    """
     n = len(s)
     if n == 0:
         raise ValueError("primitivity needs a nonempty string")
+    if isinstance(s, str):
+        return s[:(s + s).find(s, 1)]
     for d in range(1, n // 2 + 1):
         if n % d == 0 and s == s[:d] * (n // d):
             return s[:d]

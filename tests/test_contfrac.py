@@ -399,6 +399,35 @@ def test_pure_periodicity_matches_the_period_walk(x):
     assert is_purely_periodic_neg(x) == (neg_cf_period(x)[0] == ())
 
 
+def period_by_generic_walk(x, step, reduced):
+    """_period with every state, reduced or not, taken by the step function:
+    the reference for its inline loops on reduced states."""
+    p, q, d = contfrac._as_surd(x)
+    s = math.isqrt(d)
+    pre, per = [], []
+    while not reduced(p, q, s):
+        a, p, q = step(p, q, d, s)
+        pre.append(a)
+    p0, q0 = p, q
+    while not per or p != p0 or q != q0:
+        a, p, q = step(p, q, d, s)
+        per.append(a)
+    return tuple(pre), tuple(per)
+
+
+@settings(max_examples=300)
+@given(st.one_of(surds(), raw_triples()))
+@example((0, 1, 2))
+@example((0, 1, 10**6 + 1))
+@example((-7, -3, 19))
+def test_period_matches_the_generic_walk(x):
+    # raw triples are rescaled by _as_surd; pre-periods of any length occur
+    for walk, step, reduced in (
+            (reg_cf_period, contfrac._reg_step, contfrac._reg_reduced),
+            (neg_cf_period, contfrac._neg_step, contfrac._neg_reduced)):
+        assert walk(x) == period_by_generic_walk(x, step, reduced)
+
+
 @given(surds())
 def test_period_concatenation_matches_stream(x):
     # a pre-period one quotient too long ends in the period's last quotient

@@ -1,6 +1,7 @@
 """Form arithmetic and the substitution action."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from zred.forms import (
     form_to_json,
     nonsquare_isqrt,
 )
+from zred.strings import check_nat
 
 T = UnimodularMatrix(1, 1, 0, 1)
 L = UnimodularMatrix(1, 0, 1, 1)
@@ -174,6 +176,26 @@ MALFORMED = [
 def test_malformed_shapes_raise_value_error(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+# collections whose iteration order is not an order of entries
+UNORDERED = {
+    "set": set, "frozenset": frozenset, "dict": dict.fromkeys,
+    "mappingproxy": lambda t: MappingProxyType(dict.fromkeys(t)),
+    "dict_keys": lambda t: dict.fromkeys(t).keys(),
+}
+
+
+@pytest.mark.parametrize("kind", UNORDERED)
+def test_unordered_collections_raise_value_error(kind):
+    # {5, 1, 2} iterates as 1, 2, 5 and would pass for the form (1, 2, 5)
+    make = UNORDERED[kind]
+    for fn, t in ((as_ints, (5, 1, 2)), (as_form, (5, 1, 2)),
+                  (zred.tau, (3, 1, 2)), (check_nat, (3, 1, 2)),
+                  (zred.continuant, (3, 1, 2)), (zred.reg_cf_period, (1, 2, 5)),
+                  (lambda m: act((1, 5, 2), m), (1, 2, 0, 1))):
+        with pytest.raises(ValueError, match="expected a sequence of integers"):
+            fn(make(t))
 
 
 def test_discriminant_checks():

@@ -119,3 +119,27 @@ def test_denjoy_bits_repeat_a_period_with_a_large_quotient():
         got = kernel.denjoy_bits(x.p, x.q, x.delta, n)
         assert got == _denjoy_bits_stepwise(x.p, x.q, x.delta, n), n
         assert got == (block * 3)[:n], n
+
+
+def test_denjoy_bits_at_every_cut_of_both_loops():
+    # the pre-period loop takes the full step (signs, a = 0, the cut block)
+    # and hands over at the first reduced state; n runs over every length
+    # through two periods, so it ends inside the pre-period, exactly at the
+    # hand-over, and inside every cut block of either loop
+    rng = random.Random(13)
+    xs = [surd(3, 2, 17), surd(0, 1, 2), surd(7, 1, 61),
+          # values below 1: the first bit is 0
+          surd(-1, 1, 2), surd(1, 7, 2), surd(-4, 3, 19), surd(-39, 40, 1601),
+          # q < 0
+          surd(-3, -1, 5), surd(-9, -2, 17), surd(-13, -4, 61),
+          # a pre-period quotient of 40, then the reduced quotient 80
+          surd(0, 1, 1601), surd(40, 1, 1601)]
+    # random states whose two periods fit in 400 bits, as every n is tried
+    xs += [x for x in _random_states(rng, 300)
+           if sum(map(_bit_count, reg_cf_period(x))) <= 200][:60]
+    for x in xs:
+        pre, per = reg_cf_period(x)
+        head, size = _bit_count(pre), _bit_count(per)
+        want = _denjoy_bits_stepwise(x.p, x.q, x.delta, head + 2 * size + 2)
+        for n in range(len(want) + 1):
+            assert kernel.denjoy_bits(x.p, x.q, x.delta, n) == want[:n], (x, n)

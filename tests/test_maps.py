@@ -173,10 +173,15 @@ def test_denjoy_period_frozen():
 
 
 def test_denjoy_period_is_the_substituted_sigma():
-    for delta in (17, 20, 33, 40):
+    # the core joins the thickened blocks of beta in one pass; the reference
+    # builds sigma and then thickens it, on every Zagier-reduced form with
+    # delta <= 1000, scaled forms included
+    scaled = 0
+    for delta in discriminants(1000):
         for f in enumerate_z_reduced(delta):
-            s = sigma(f)
-            assert denjoy_period(f) == s.replace("0", "01")
+            assert _denjoy_period(f) == _sigma(f).replace("0", "01"), f
+            scaled += not f.is_primitive()
+    assert scaled > 0
 
 
 def test_string_maps_respect_scaling():

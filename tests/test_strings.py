@@ -24,6 +24,7 @@ from zred.strings import (
     pinch_both,
     pinch_left,
     pinch_right,
+    primitive_root,
     rotate_bin,
     sb,
     sb_inv,
@@ -245,6 +246,28 @@ def test_primitive_examples():
     assert not is_primitive((2, 1, 2, 1))
     with pytest.raises(ValueError):
         is_primitive("")
+
+
+def primitive_root_by_divisors(s):
+    """The shortest block whose repetition is s, tried at each divisor of
+    len(s): the reference for primitive_root's self-search on a str."""
+    n = len(s)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and s == s[:d] * (n // d):
+            return s[:d]
+    return s
+
+
+def test_primitive_root_matches_the_divisor_loop():
+    for n in range(1, 15):
+        for bits in product("01", repeat=n):
+            b = "".join(bits)
+            assert primitive_root(b) == primitive_root_by_divisors(b), b
+    beads = [(1,), (2, 1, 2, 1), (1, 2, 1), (3, 3, 3), (1, 2, 1, 2, 1),
+             (5, 1, 5, 1, 5, 1), (10**6, 10**6)]
+    beads += [tuple(t) for n in range(1, 7) for t in product((1, 2), repeat=n)]
+    for t in beads:
+        assert primitive_root(t) == primitive_root_by_divisors(t), t
 
 
 @given(bin1)
