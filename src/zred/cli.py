@@ -176,6 +176,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Python 3.11 (and 3.10.7) limits int <-> str conversion to 4300 digits;
+    # integers of any length are valid here, so lift the limit for this call
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         res = args.handler(args)

@@ -16,10 +16,8 @@ import math
 from typing import Iterable, NamedTuple
 
 from . import kernel
-from .forms import as_int, as_ints, check_delta
+from .forms import as_int, as_ints, nonsquare_isqrt
 from .strings import check_nat
-
-NatString = tuple  # tuple of positive ints (zero ends allowed where noted)
 
 
 def continuant(s: Iterable) -> int:
@@ -126,18 +124,20 @@ class QuadraticSurd(NamedTuple):
 
 
 def surd(p: int, q: int, delta: int) -> QuadraticSurd:
-    p, q, delta = as_int(p), as_int(q), check_delta(delta)
+    return _as_surd((p, q, delta))
+
+
+def _as_surd(x) -> QuadraticSurd:
+    # the one coercion of a surd triple at the public boundary: each entry
+    # once, then delta, then q; a triple missing the invariant is rescaled
+    p, q, delta = as_ints(x, 3)
+    nonsquare_isqrt(delta)
     if q == 0:
         raise ValueError("surd denominator must be nonzero")
     if (delta - p * p) % q:
         k = abs(q)
         p, delta, q = p * k, delta * k * k, q * k
     return QuadraticSurd(p, q, delta)
-
-
-def _as_surd(x) -> QuadraticSurd:
-    # the one unpacking of a surd triple at the public boundary
-    return surd(*as_ints(x, 3))
 
 
 def _reg_step(p: int, q: int, delta: int, s: int) -> tuple:
@@ -171,14 +171,13 @@ def _term_count(n) -> int:
     return n
 
 
-# The expansions take x through _as_surd once: a triple missing the invariant
-# is rescaled, and a bad one raises ValueError rather than failing a step.
+# The expansions take x through _as_surd once, so a bad triple raises
+# ValueError rather than failing a step; the cores take its checked ints.
 
-def _expand(x: QuadraticSurd, n, step) -> tuple:
-    p, q, d = _as_surd(x)
+def _expand(p: int, q: int, d: int, n: int, step) -> tuple:
     s = math.isqrt(d)
     out = []
-    for _ in range(_term_count(n)):
+    for _ in range(n):
         a, p, q = step(p, q, d, s)
         out.append(a)
     return tuple(out)
@@ -186,12 +185,12 @@ def _expand(x: QuadraticSurd, n, step) -> tuple:
 
 def reg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n regular continued fraction quotients of x."""
-    return _expand(x, n, _reg_step)
+    return _expand(*_as_surd(x), _term_count(n), _reg_step)
 
 
 def neg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n negative (ceiling) continued fraction quotients of x."""
-    return _expand(x, n, _neg_step)
+    return _expand(*_as_surd(x), _term_count(n), _neg_step)
 
 
 def denjoy_surd(x: QuadraticSurd, n: int) -> str:
@@ -207,11 +206,11 @@ def denjoy_surd(x: QuadraticSurd, n: int) -> str:
     return kernel.denjoy_bits(x.p, x.q, x.delta, n)
 
 
-def _period(x: QuadraticSurd, step, reduced) -> tuple:
+def _period(p: int, q: int, d: int, neg: bool) -> tuple:
     # a tail is purely periodic iff reduced (Galois; Zagier for the negative
     # expansion), so the minimal period runs from the first reduced state on
-    p, q, d = _as_surd(x)
     s = math.isqrt(d)
+    step, reduced = (_neg_step, _neg_reduced) if neg else (_reg_step, _reg_reduced)
     pre, per = [], []
     while not reduced(p, q, s):
         a, p, q = step(p, q, d, s)
@@ -220,7 +219,7 @@ def _period(x: QuadraticSurd, step, reduced) -> tuple:
     # inline with no sign branch: the negative quotient is the regular one
     # plus 1, and the next q's numerator changes sign.
     p0, q0 = p, q
-    if step is _neg_step:
+    if neg:
         while True:
             a = (p + s) // q + 1
             p = a * q - p
@@ -246,7 +245,7 @@ def reg_cf_period(x: QuadraticSurd) -> tuple:
 
     The period starts at the first tail with x > 1 and -1 < x' < 0.
     """
-    return _period(x, _reg_step, _reg_reduced)
+    return _period(*_as_surd(x), False)
 
 
 def neg_cf_period(x: QuadraticSurd) -> tuple:
@@ -255,7 +254,7 @@ def neg_cf_period(x: QuadraticSurd) -> tuple:
     The period starts at the first tail with x > 1 and 0 < x' < 1.  One
     step sends any value above 1, so every expansion is eventually periodic.
     """
-    return _period(x, _neg_step, _neg_reduced)
+    return _period(*_as_surd(x), True)
 
 
 def is_purely_periodic_reg(x: QuadraticSurd) -> bool:

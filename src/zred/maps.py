@@ -15,19 +15,19 @@ from __future__ import annotations
 
 from .contfrac import _cf_parity, _continuants
 from .forms import Form, as_form, nonsquare_isqrt
-from .pell import fundamental_solution
+from .pell import _fundamental_solution
 from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
 
 # Public maps check their input once; the cores (_automorph_z, _gamma, _beta,
 # _sigma, _mu, _denjoy_period) take a checked Form and _tau a checked tuple.
 # A square discriminant passes the reducedness checks (beta of (2, 5, 2) has
-# delta = 9); fundamental_solution rejects it, and mu, which needs no Pell
-# unit, checks it itself.
+# delta = 9); _fundamental_solution's nonsquare_isqrt rejects it, and mu,
+# which needs no Pell unit, checks it itself.
 
 
 def _automorph_z(f: Form) -> tuple:
     a, b, c = f
-    t, u, eps = fundamental_solution(b * b - 4 * a * c)
+    t, u, eps = _fundamental_solution(b * b - 4 * a * c)
     num = t + b * u
     assert num % 2 == 0, "t and b*u must share parity on one discriminant"
     return num // 2, u, eps

@@ -35,6 +35,7 @@ from itertools import product
 from .contfrac import (
     QuadraticSurd,
     _as_surd,
+    _period,
     _term_count,
     continuant,
     continuant_matrix,
@@ -362,8 +363,8 @@ def _lgz_forms(delta):
             # a form listed more than once keeps no place
             place[g] = None if g in place else (nums, i)
     for f in enumerate_z_reduced(delta):
-        x = surd(f.b, 2 * f.a, delta)
-        period = neg_cf_period(x)
+        x = QuadraticSurd(f.b, 2 * f.a, delta)
+        period = _period(*x, True)
         yield None if (x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
                        and period[0] == ()) else (
             f"delta={delta} f={f}: {x} fails the reduced negative characterization")
@@ -382,8 +383,8 @@ def _lgz_forms(delta):
     for f in enumerate_g_reduced(delta):
         if f.a < 0:
             continue
-        x = surd(f.b, 2 * f.a, delta)
-        period = reg_cf_period(x)
+        x = QuadraticSurd(f.b, 2 * f.a, delta)
+        period = _period(*x, False)
         yield None if (x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
                        and period[0] == ()) else (
             f"delta={delta} f={f}: {x} fails the reduced regular characterization")

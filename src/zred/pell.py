@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .contfrac import _continuants, _period, _reg_reduced, _reg_step
+from .contfrac import _continuants, _period
 from .forms import as_int, check_delta, nonsquare_isqrt
 
 
@@ -52,10 +52,11 @@ def _unit_from_omega(delta: int) -> PellSolution:
     # delta = 0 or 1 mod 4: take the regular period of (b0 + sqrt(delta))/2
     # with b0 the largest integer of delta's parity below sqrt(delta).  That
     # surd is reduced, so its period starts at once; the convergent matrix
-    # of one period yields the fundamental unit.
+    # of one period yields the fundamental unit.  _fundamental_solution's
+    # nonsquare_isqrt has checked delta, and 2 divides delta - b0*b0.
     s = math.isqrt(delta)
     b0 = s if (s - delta) % 2 == 0 else s - 1
-    _, per = _period((b0, 2, delta), _reg_step, _reg_reduced)
+    _, per = _period(b0, 2, delta, False)
     _, _, u, m22 = _continuants(per)
     t = u * b0 + 2 * m22
     eps = t * t - delta * u * u
@@ -73,9 +74,7 @@ def fundamental_solution(delta: int) -> PellSolution:
     delta is coerced by as_int before the cache hashes it, so [61] raises
     ValueError rather than TypeError; a cache hit on an int runs no isqrt.
     """
-    if type(delta) is not int:
-        delta = as_int(delta)
-    return _fundamental_solution(delta)
+    return _fundamental_solution(as_int(delta))
 
 
 @lru_cache(maxsize=1 << 16)

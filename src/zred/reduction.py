@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import kernel
-from .contfrac import _period, _reg_reduced, _reg_step
+from .contfrac import _period
 from .forms import Form, as_form, as_int, check_delta, nonsquare_isqrt
 from .maps import _mu
 
@@ -211,7 +211,7 @@ def z_caliber(f: Form) -> int:
     (p, q) = (b, 2a), where q already divides delta - p^2 = -4ac, holding
     that one period; no Zagier walk.
     """
-    f = as_form(f)  # _period checks the discriminant
-    pre, per = _period((f.b, 2 * f.a, f.discriminant()), _reg_step, _reg_reduced)
+    f, _ = _checked(f)
+    pre, per = _period(f.b, 2 * f.a, f.discriminant(), False)
     # odd positions count from a0, so in per they start at index 1 - len(pre)
     return sum(per) if len(per) % 2 else sum(per[(1 - len(pre)) % 2::2])

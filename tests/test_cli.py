@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,34 @@ def test_pell_text_and_json(capsys):
     code, out, _ = run(capsys, "--json", "pell", "17")
     assert code == 0
     assert json.loads(out) == {"t": "8", "u": "2", "epsilon": -4}
+
+
+def decimal(s):
+    # int of a decimal string of any length, read in chunks short enough
+    # for the int <-> str digit limit of Python 3.11 and 3.10.7
+    n = 0
+    for i in range(0, len(s), 1000):
+        n = n * 10 ** len(s[i:i + 1000]) + int(s[i:i + 1000])
+    return n
+
+
+def test_integers_of_any_length(capsys):
+    # t has 4,818 digits and the cf input 5,000, past the 4300-digit limit
+    # of int <-> str; main lifts that limit for its own call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run(capsys, "pell", "4000000001")
+    assert (code, err) == (0, "")
+    t, u, eps = (decimal(w.split("=")[1]) for w in out.split())
+    assert eps in (4, -4)
+    assert t * t - 4000000001 * u * u == eps
+    code, out, _ = run(capsys, "--json", "pell", "4000000001")
+    doc = json.loads(out)
+    assert code == 0
+    assert (decimal(doc["t"]), decimal(doc["u"]), doc["epsilon"]) == (t, u, eps)
+    big = "7" * 5000
+    assert run(capsys, "cf", big, "1", "--parity", "odd")[:2] == (0, big)
+    assert limit() == before
 
 
 def test_cf_parities(capsys):

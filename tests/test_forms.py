@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import zred
+from zred import contfrac, oracle, strings
 from zred import forms as forms_module
 from zred.forms import (
     Form,
@@ -316,12 +317,20 @@ def test_typed_values_are_not_rebuilt(monkeypatch):
              (zred.z_caliber, f), (zred.orbit_to_cycle, f), (check_indefinite, f),
              (zred.mu, g), (zred.gamma, g), (zred.r_g, g)]
     want = [fn(list(x)) for fn, x in calls] + [act(list(f), list(T))]
+    # a cold Pell unit and one lgz unit, which walk periods below the boundary
+    pell = zred.fundamental_solution
+    want += [pell(61), oracle._work((oracle._lgz_forms, 21))]
 
     def no_coercion(*args):
         raise AssertionError("as_ints was called")
 
-    monkeypatch.setattr(forms_module, "as_ints", no_coercion)
-    assert [fn(x) for fn, x in calls] + [act(f, T)] == want
+    # every module that binds as_ints
+    for module in (forms_module, contfrac, strings):
+        monkeypatch.setattr(module, "as_ints", no_coercion)
+    got = [fn(x) for fn, x in calls] + [act(f, T)]
+    pell.cache_clear()
+    got += [pell(61), oracle._work((oracle._lgz_forms, 21))]
+    assert got == want
     with pytest.raises(AssertionError):
         as_form([1, 5, 2])
 

@@ -177,13 +177,13 @@ def test_lgz_runs_the_same_in_a_worker_pool(monkeypatch):
 
 def test_lgz_walks_each_period_once(monkeypatch):
     walks = []
-    period = contfrac._period
+    period = oracle._period
 
     def counting_period(*args):
         walks.append(args[0])
         return period(*args)
 
-    monkeypatch.setattr(contfrac, "_period", counting_period)
+    monkeypatch.setattr(oracle, "_period", counting_period)
     for d in (5, 21, 60, 148):
         walks.clear()
         _work((oracle._lgz_forms, d))

@@ -10,6 +10,7 @@ from zred.contfrac import neg_cf_surd, reg_cf_surd, surd
 from zred.forms import Form
 from zred.maps import mu, tau
 from zred.oracle import discriminants
+from zred.pell import fundamental_solution
 from zred.strings import is_primitive
 from zred.reduction import (
     _g_step,
@@ -378,6 +379,90 @@ def test_mu_refines_gauss_cycles():
             assert sum(pos[j - 1] >= pos[j] for j in range(len(pos))) == 1, (delta, gc)
             hit.append(k)
         assert sorted(hit) == list(range(len(zcyc))), delta
+
+
+# ------------------------------------- class numbers (Dirichlet's formula)
+
+def kronecker(d, n):
+    """Kronecker symbol (d/n) for n >= 1: (d/2) from d mod 8 for each
+    factor 2 of n, then the Jacobi symbol by reciprocity."""
+    k = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            k = -k
+    d %= n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                k = -k
+        d, n = n, d
+        if d % 4 == 3 and n % 4 == 3:
+            k = -k
+        d %= n
+    return k if n == 1 else 0
+
+
+def fundamental_part(delta):
+    """(delta0, f) with delta = delta0 * f^2 and delta0 fundamental."""
+    core, g, p = delta, 1, 2
+    while p * p <= core:
+        while core % (p * p) == 0:
+            core //= p * p
+            g *= p
+        p += 1
+    # core is delta's squarefree part; delta = 0 mod 4 when core is not 1 mod 4
+    return (core, g) if core % 4 == 1 else (4 * core, g // 2)
+
+
+def narrow_class_number(delta):
+    """h+(delta) as a float, from Dirichlet's class number formula.
+
+    h+ log(eps+) = sqrt(delta) L(1, chi_delta), with eps+ = (t + u sqrt(delta))/2
+    the least unit of norm +1 and chi_delta the Kronecker symbol (delta/.).
+    For delta = delta0 f^2, L(1, chi_delta) = L(1, chi_delta0) times the
+    product over primes p | f of 1 - chi_delta0(p)/p, and L(1, chi_delta0) =
+    -delta0^(-1/2) sum over 0 < a < delta0 of chi_delta0(a) log sin(pi a/delta0)
+    (H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    5.6).  chi_delta0 is even, so the sum runs over half the range, twice.
+    """
+    d0, f = fundamental_part(delta)
+    total = 2 * sum(kronecker(d0, a) * math.log(math.sin(math.pi * a / d0))
+                    for a in range(1, (d0 + 1) // 2))
+    euler, m, p = 1.0, f, 2
+    while m > 1:  # over the primes p | f, by trial division
+        if m % p == 0:
+            euler *= 1 - kronecker(d0, p) / p
+            while m % p == 0:
+                m //= p
+        p += 1
+    t, u, eps = fundamental_solution(delta)
+    # log((t + u sqrt(delta))/2), where u sqrt(delta) = sqrt(t^2 - eps);
+    # a unit of norm -1 squares to eps+
+    log_unit = math.log(t) + math.log((1 + math.sqrt(1 - eps / t**2)) / 2)
+    if eps == -4:
+        log_unit *= 2
+    # sqrt(delta) = f sqrt(delta0), which cancels L's delta0^(-1/2)
+    return -f * total * euler / log_unit
+
+
+def check_cycles_count_classes(delta):
+    # one cycle per proper class in both theories, so the primitive cycles
+    # of each number h+(delta); a wrong unit must not round onto the count
+    h = narrow_class_number(delta)
+    assert abs(h - round(h)) < 1e-6, (delta, h)
+    for op in ("g", "z"):
+        count = sum(c[0].is_primitive() for c in cycles(delta, op))
+        assert count == round(h), (delta, op, count, h)
+
+
+def test_cycles_count_narrow_classes():
+    # every delta with forms up to 3000, non-fundamental ones included
+    for delta in discriminants(3000):
+        check_cycles_count_classes(delta)
 
 
 def test_cores_match_public_steps_on_every_reduced_form():
