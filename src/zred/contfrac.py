@@ -13,6 +13,7 @@ No floating point anywhere; floors of surds come from integer square roots.
 from __future__ import annotations
 
 import math
+from itertools import cycle, islice
 from typing import Iterable, NamedTuple
 
 from . import kernel
@@ -292,20 +293,13 @@ def neg_to_reg_stream(period: Iterable, n: int) -> tuple:
         raise ValueError("the all-2s period is the rational 1")
     n = _term_count(n)
     out = [t[0] - 1]
-    i = 1
-
-    def nxt() -> int:
-        nonlocal i
-        v = t[i % len(t)]
-        i += 1
-        return v
-
+    rest = islice(cycle(t), 1, None)
     while len(out) < n:
         run = 0
-        v = nxt()
+        v = next(rest)
         while v == 2:
             run += 1
-            v = nxt()
+            v = next(rest)
         out.append(run + 1)
         out.append(v - 2)
     return tuple(out[:n])

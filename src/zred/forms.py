@@ -172,5 +172,11 @@ def check_indefinite(f: Form) -> int:
 
 
 def form_to_json(f: Form) -> list:
-    """Coefficients as decimal strings, the wire format for forms."""
+    """Coefficients as decimal strings, the wire format for forms.
+
+    f is read like as_form reads it, but a Form passes on its type alone:
+    the command line writes one line per form of a long cycle.
+    """
+    if type(f) is not Form:
+        f = as_form(f)
     return [str(f.a), str(f.b), str(f.c)]

@@ -16,10 +16,11 @@ from __future__ import annotations
 from .contfrac import _cf_parity, _continuants
 from .forms import Form, as_form, nonsquare_isqrt
 from .pell import _fundamental_solution
-from .strings import ColoredBin, _sb, alternating_necklace, check_nat, necklace
+from .strings import Necklace, _alternating_necklace, _least_start, _sb, check_nat
 
 # Public maps check their input once; the cores (_automorph_z, _gamma, _beta,
-# _sigma, _mu, _denjoy_period) take a checked Form and _tau a checked tuple.
+# _sigma, _mu, _denjoy_period) take a checked Form and _tau a checked tuple,
+# and sigma_bar runs the necklace cores on the sigma it has built.
 # A square discriminant passes the reducedness checks (beta of (2, 5, 2) has
 # delta = 9); _fundamental_solution's nonsquare_isqrt rejects it, and mu,
 # which needs no Pell unit, checks it itself.
@@ -87,10 +88,11 @@ def sigma(f: Form) -> str:
 def sigma_bar(f: Form):
     """Class invariant: the necklace of sigma, with alternating bar colors
     remembered when the weight is even (odd weight identifies the colors)."""
-    s = sigma(f)
+    s = _sigma(_z_reduced(f, "sigma_bar"))
     if s.count("1") % 2 == 1:
-        return necklace(s)
-    return alternating_necklace(ColoredBin(s, s.index("1")))
+        r = _least_start(s)[0]
+        return Necklace(s[r:] + s[:r])
+    return _alternating_necklace(s, s.index("1"))
 
 
 def _mu(f: Form) -> Form:

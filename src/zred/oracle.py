@@ -4,9 +4,10 @@ Every suite rechecks a theorem-shaped statement by brute enumeration,
 independent re-derivation, or randomized identity testing, and returns a
 VerificationReport.  Suites never trust the quantity under test: the
 Zagier cycles that cycles() seeds through mu are checked against the
-independently enumerated reduced forms, expansions can be cross-checked
-against rational interval refinement, calibers come from orbit walks
-rather than anything cached in the maps module.
+independently enumerated reduced forms, and calibers come from orbit
+walks rather than anything cached in the maps module.  No suite checks
+the expansion engines against rational interval refinement: that is
+expand_surd_oracle, which the tests call.
 
 Suites shard over their discriminant range (or sample chunks) into units
 and can run those in parallel; reports merge in unit order, so failures

@@ -30,14 +30,11 @@ def check_nat(s, min_len: int = 1) -> tuple:
     return t
 
 
-def check_bin(b: str, min_weight: int = 0) -> str:
-    """b itself, after checking it is a nonempty str over 0/1 with at least
-    min_weight ones; ValueError otherwise.  Stripping 0s and 1s from both
-    ends leaves nothing exactly when no other character occurs."""
-    if not isinstance(b, str) or not b or b.strip("01"):
-        raise ValueError(f"need a nonempty string over 0/1, got {b!r}")
-    if b.count("1") < min_weight:
-        raise ValueError(f"need at least {min_weight} ones, got {b!r}")
+def check_bin(b: str) -> str:
+    """b itself, if it is a str over 0/1 with at least one 1; else
+    ValueError.  b.strip("01") is empty exactly when only 0s and 1s occur."""
+    if not isinstance(b, str) or b.strip("01") or "1" not in b:
+        raise ValueError(f"need a string over 0/1 with at least one 1, got {b!r}")
     return b
 
 
@@ -58,7 +55,7 @@ def _sb(t: tuple) -> str:
 
 def sb_inv(b: str):
     """Inverse of sb: gaps with a 1 cut 1..m+1 into consecutive blocks."""
-    check_bin(b, min_weight=1)
+    check_bin(b)
     # the bars cut b into runs of stars, each run one short of its entry
     return tuple(len(block) + 1 for block in b.split("1"))
 
@@ -135,7 +132,7 @@ def rotate_bin(b: str) -> str:
     A leading 0 moves to the back; with a single 1 in front of zeros that
     1 moves to the back; otherwise the block through the second 1 wraps.
     """
-    b = check_bin(b, min_weight=1)
+    b = check_bin(b)
     if b[0] == "0":
         return b[1:] + "0"
     if b.count("1") == 1:
@@ -144,22 +141,25 @@ def rotate_bin(b: str) -> str:
     return b[j + 1:] + b[: j + 1]
 
 
+def _word(s):
+    """s as a nonempty str, or else as a tuple through as_ints."""
+    s = s if isinstance(s, str) else as_ints(s)
+    if not s:
+        raise ValueError("need a nonempty string")
+    return s
+
+
 def primitive_root(s):
-    """Shortest block whose repetition is s, a str or a tuple.
+    """Shortest block whose repetition is s, a str or a sequence of ints.
 
     On a str the block is s up to the least shift that maps s onto
     itself, which is the first match of s inside s + s past index 0;
     that shift always divides len(s).
     """
-    n = len(s)
-    if n == 0:
-        raise ValueError("primitivity needs a nonempty string")
+    s = _word(s)
     if isinstance(s, str):
         return s[:(s + s).find(s, 1)]
-    for d in range(1, n // 2 + 1):
-        if n % d == 0 and s == s[:d] * (n // d):
-            return s[:d]
-    return s
+    return s[:_least_start(s)[1]]
 
 
 def is_primitive(s) -> bool:
@@ -167,28 +167,30 @@ def is_primitive(s) -> bool:
     return len(primitive_root(s)) == len(s)
 
 
-def least_rotation(s):
-    """Lexicographically smallest rotation, by Booth's algorithm."""
-    n = len(s)
-    if n == 0:
-        raise ValueError("need a nonempty string")
-    ss = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = ss[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != ss[k + i + 1]:
-            if sj < ss[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != ss[k + i + 1]:
-            if sj < ss[k]:
-                k = j
-            f[j - k] = -1
+def _least_start(s) -> tuple:
+    """(r, p): the least start r of the least rotation of s and its
+    primitive period p.  Every start below j but i has lost; if i and j
+    agree on k entries and then i is larger, each of i, ..., i + k loses
+    to the start as far past j.  Agreeing on n entries, r = i and p = j - i."""
+    n, ss = len(s), s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ss[i + k], ss[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a < b:
+            j, k = j + k + 1, 0
         else:
-            f[j - k] = i + 1
-    return ss[k:k + n]
+            i, j, k = j, max(j, i + k) + 1, 0
+    return i, (j - i if k == n else n)
+
+
+def least_rotation(s):
+    """Lexicographically smallest rotation of s, a str or a sequence of ints."""
+    s = _word(s)
+    r = _least_start(s)[0]
+    return s[r:] + s[:r]
 
 
 class Necklace(NamedTuple):
@@ -216,17 +218,7 @@ class ColoredBin(NamedTuple):
 
 
 def necklace(b: str) -> Necklace:
-    return Necklace(least_rotation(check_bin(b, min_weight=1)))
-
-
-def _greens(bits: str, green: int) -> list:
-    bits, green = check_bin(bits, min_weight=1), as_int(green)
-    if not (0 <= green < len(bits)) or bits[green] != "1":
-        raise ValueError(f"marked position {green} of {bits!r} must hold a 1")
-    ones = [i for i, ch in enumerate(bits) if ch == "1"]
-    k = ones.index(green)
-    # walk the ones cyclically from the mark; every second one shares its color
-    return [ones[(k + j) % len(ones)] for j in range(0, len(ones), 2)]
+    return Necklace(least_rotation(check_bin(b)))
 
 
 def alternating_necklace(x: ColoredBin) -> AlternatingNecklace:
@@ -240,10 +232,17 @@ def alternating_necklace(x: ColoredBin) -> AlternatingNecklace:
         bits, green = () if isinstance(x, (str, bytes)) else x
     except (TypeError, ValueError):  # a str, not iterable, or not a pair
         raise ValueError(f"expected a (bits, green) pair, got {x!r}") from None
-    greens = _greens(bits, green)
-    canon = least_rotation(bits)
-    n = len(bits)
-    # the rotations fixing bits are the multiples of its primitive period
-    r0, step = (bits + bits).find(canon), len(primitive_root(bits))
-    phases = ((g - r) % n for r in range(r0, n, step) for g in greens)
-    return AlternatingNecklace(canon, min(phases))
+    bits, green = check_bin(bits), as_int(green)
+    if not (0 <= green < len(bits)) or bits[green] != "1":
+        raise ValueError(f"marked position {green} of {bits!r} must hold a 1")
+    return _alternating_necklace(bits, green)
+
+
+def _alternating_necklace(bits: str, green: int) -> AlternatingNecklace:
+    ones = [i for i, ch in enumerate(bits) if ch == "1"]
+    k = ones.index(green)
+    # walk the ones cyclically from the mark; every second one shares its color
+    greens = [ones[(k + j) % len(ones)] for j in range(0, len(ones), 2)]
+    # every least rotation starts at r0 + m*p, the nearest (g - r0) % p before g
+    r0, p = _least_start(bits)
+    return AlternatingNecklace(bits[r0:] + bits[:r0], min((g - r0) % p for g in greens))

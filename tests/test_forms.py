@@ -144,6 +144,12 @@ def test_str_and_json():
         as_form(["1", "2"])
     with pytest.raises(ValueError):
         as_form("nope")
+    # form_to_json reads a plain triple like as_form, and nothing else
+    assert form_to_json((1, 2, 3)) == ["1", "2", "3"]
+    assert form_to_json(["-7", 0, 2]) == ["-7", "0", "2"]
+    for bad in (5, None, (1, 2), "123", {1, 2, 3}, (1.5, 2, 3)):
+        with pytest.raises(ValueError):
+            form_to_json(bad)
 
 
 def test_form_coerces_to_int():
@@ -313,9 +319,9 @@ def test_as_form_returns_a_form_of_ints_itself(f):
 
 def test_typed_values_are_not_rebuilt(monkeypatch):
     f, g = Form(1, 5, 2), Form(1, 3, -2)
-    calls = [(zred.beta, f), (zred.sigma, f), (zred.r_z, f),
+    calls = [(zred.beta, f), (zred.sigma, f), (zred.r_z, f), (zred.sigma_bar, f),
              (zred.z_caliber, f), (zred.orbit_to_cycle, f), (check_indefinite, f),
-             (zred.mu, g), (zred.gamma, g), (zred.r_g, g)]
+             (zred.mu, g), (zred.gamma, g), (zred.r_g, g), (form_to_json, f)]
     want = [fn(list(x)) for fn, x in calls] + [act(list(f), list(T))]
     # a cold Pell unit and one lgz unit, which walk periods below the boundary
     pell = zred.fundamental_solution

@@ -359,26 +359,30 @@ def test_cycles_on_long_zagier_cycles():
         assert cyc == cycles_reference(delta, "z"), delta
 
 
-def test_mu_refines_gauss_cycles():
+def check_mu_refines_gauss_cycles(delta):
     # Zagier reduction refines Gauss reduction, cycle by cycle: mu sends the
     # a > 0 members of each Gauss cycle into one Zagier cycle, in their
     # cyclic order, one to one from the Gauss cycles of delta onto its
-    # Zagier cycles.  Every delta with forms up to 3000, scaled forms
-    # included.
+    # Zagier cycles.
+    zcyc = cycles(delta, "z")
+    where = {f: (k, i) for k, c in enumerate(zcyc) for i, f in enumerate(c)}
+    assert len(where) == sum(map(len, zcyc)), delta
+    hit = []
+    for gc in cycles(delta, "g"):
+        spots = [where.get(mu(f)) for f in gc if f.a > 0]
+        assert None not in spots, (delta, gc)
+        (k,) = {k for k, _ in spots}
+        # in cyclic order: the positions descend once, at the wrap-around
+        pos = [i for _, i in spots]
+        assert sum(pos[j - 1] >= pos[j] for j in range(len(pos))) == 1, (delta, gc)
+        hit.append(k)
+    assert sorted(hit) == list(range(len(zcyc))), delta
+
+
+def test_mu_refines_gauss_cycles():
+    # every delta with forms up to 3000, scaled forms included
     for delta in discriminants(3000):
-        zcyc = cycles(delta, "z")
-        where = {f: (k, i) for k, c in enumerate(zcyc) for i, f in enumerate(c)}
-        assert len(where) == sum(map(len, zcyc)), delta
-        hit = []
-        for gc in cycles(delta, "g"):
-            spots = [where.get(mu(f)) for f in gc if f.a > 0]
-            assert None not in spots, (delta, gc)
-            (k,) = {k for k, _ in spots}
-            # in cyclic order: the positions descend once, at the wrap-around
-            pos = [i for _, i in spots]
-            assert sum(pos[j - 1] >= pos[j] for j in range(len(pos))) == 1, (delta, gc)
-            hit.append(k)
-        assert sorted(hit) == list(range(len(zcyc))), delta
+        check_mu_refines_gauss_cycles(delta)
 
 
 # ------------------------------------- class numbers (Dirichlet's formula)

@@ -1,5 +1,6 @@
 """String moves: stars and bars, shifts, pinching, rotation, necklaces."""
 
+import random
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from zred.strings import (
     AlternatingNecklace,
     ColoredBin,
     Necklace,
-    _greens,
+    _least_start,
     alternating_necklace,
     check_bin,
     check_nat,
@@ -49,21 +50,19 @@ def test_checkers():
     with pytest.raises(ValueError):
         check_bin("")
     with pytest.raises(ValueError):
-        check_bin("000", min_weight=1)
+        check_bin("000")
 
 
-def check_bin_reference(b, min_weight=0):
-    # check_bin before it tested the alphabet with str.strip
-    if not isinstance(b, str) or not b or set(b) - {"0", "1"}:
-        raise ValueError(f"need a nonempty string over 0/1, got {b!r}")
-    if b.count("1") < min_weight:
-        raise ValueError(f"need at least {min_weight} ones, got {b!r}")
+def check_bin_reference(b):
+    # check_bin with the alphabet tested by a set rather than str.strip
+    if not isinstance(b, str) or set(b) - {"0", "1"} or b.count("1") < 1:
+        raise ValueError(f"need a string over 0/1 with at least one 1, got {b!r}")
     return b
 
 
-def check_outcome(fn, b, w):
+def check_outcome(fn, b):
     try:
-        r = fn(b, w)
+        r = fn(b)
     except ValueError as e:
         return ValueError, str(e)
     assert r is b
@@ -73,8 +72,7 @@ def check_outcome(fn, b, w):
 def test_check_bin_matches_the_set_reference():
     words = ["".join(p) for n in range(5) for p in product("01 2", repeat=n)]
     for b in words + [b"01", ["0"], None, 101]:
-        for w in (0, 1, 2):
-            assert check_outcome(check_bin, b, w) == check_outcome(check_bin_reference, b, w)
+        assert check_outcome(check_bin, b) == check_outcome(check_bin_reference, b)
 
 
 def test_sb_frozen():
@@ -248,9 +246,20 @@ def test_primitive_examples():
         is_primitive("")
 
 
+def test_words_of_the_wrong_shape_raise_value_error():
+    # a word is a str or a sequence of ints: a mapping or a set has no
+    # order of entries, and an int or None is no sequence
+    for fn in (is_primitive, least_rotation, primitive_root):
+        for bad in ({1: 2}, {3, 1}, 5, None, b"\x01", (), [1.5, 2]):
+            with pytest.raises(ValueError):
+                fn(bad)
+    assert least_rotation([3, "1", 2]) == (1, 2, 3)
+
+
 def primitive_root_by_divisors(s):
     """The shortest block whose repetition is s, tried at each divisor of
-    len(s): the reference for primitive_root's self-search on a str."""
+    len(s): the reference for primitive_root's self-search on a str and
+    for the period that _least_start reads on a tuple."""
     n = len(s)
     for d in range(1, n // 2 + 1):
         if n % d == 0 and s == s[:d] * (n // d):
@@ -276,9 +285,51 @@ def test_primitive_agrees_with_naive(b):
     assert is_primitive(b) == naive
 
 
+def least_rotation_by_scan(s):
+    return min(s[i:] + s[:i] for i in range(len(s)))
+
+
 @given(st.text(alphabet="012", min_size=1, max_size=12))
 def test_least_rotation_is_minimum(s):
-    assert least_rotation(s) == min(s[i:] + s[:i] for i in range(len(s)))
+    assert least_rotation(s) == least_rotation_by_scan(s)
+    t = tuple(map(int, s))
+    assert least_rotation(t) == least_rotation_by_scan(t)
+
+
+class CountedReads(tuple):
+    """A tuple that counts its reads by index, and so does s + s."""
+
+    reads = 0
+
+    def __add__(self, other):
+        return CountedReads(tuple(self) + tuple(other))
+
+    def __getitem__(self, i):
+        CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_least_start_is_linear():
+    # each comparison raises i + j + k, which stays below 3n, so the scan
+    # reads fewer than 6n entries; on 1^m 0 a scan that did not skip every
+    # start that lost would read about m^2 of them
+    rng = random.Random(5)
+    words = [(1,) * 300 + (0,), (0,) * 300 + (1,), (1, 0) * 150 + (1,),
+             (2, 1) * 100 + (1, 2) * 100]
+    words += [tuple(rng.choice((0, 1)) for _ in range(300)) for _ in range(20)]
+    for w in words:
+        CountedReads.reads = 0
+        r, p = _least_start(CountedReads(w))
+        assert CountedReads.reads < 6 * len(w), (w, CountedReads.reads)
+        assert w[r:] + w[:r] == least_rotation_by_scan(w)
+        assert w[:p] == primitive_root_by_divisors(w)
+
+
+def test_least_rotation_of_long_periodic_words():
+    for block in ("1", "10", "0010", "0110100", "2101", (3, 1, 2), (0, 0, 5, 0)):
+        for k in (1, 2, 7, 64, 501):
+            w = block * k
+            assert least_rotation(w) == least_rotation_by_scan(block) * k, (block, k)
 
 
 @given(bin1)
@@ -343,11 +394,15 @@ def test_alternating_necklace_representative_independence(b, data):
 def alternating_necklace_by_scan(x):
     """alternating_necklace by trying all n rotations: the quadratic reference."""
     bits, n = x.bits, len(x.bits)
-    canon = least_rotation(bits)
+    canon = least_rotation_by_scan(bits)
+    ones = [i for i, ch in enumerate(bits) if ch == "1"]
+    k = ones.index(x.green)
+    # colors alternate around the cycle, starting green at the mark
+    greens = (ones[k:] + ones[:k])[::2]
     phases = []
     for r in range(n):
         if bits[r:] + bits[:r] == canon:
-            phases.extend((g - r) % n for g in _greens(*x))
+            phases.extend((g - r) % n for g in greens)
     return AlternatingNecklace(canon, min(phases))
 
 
@@ -368,6 +423,11 @@ def test_alternating_necklace_on_periodic_blocks():
     for block in ("1", "10", "01", "110", "1001", "10110", "0110100"):
         for k in range(1, 8):
             assert_every_mark_matches_the_scan(block * k)
+    # past the scan's reach: every rotation by the period is a least one,
+    # and the phase is the least over all of them
+    n = 20000
+    assert alternating_necklace(("1" * n, 7)) == AlternatingNecklace("1" * n, 0)
+    assert alternating_necklace(("10" * n, 6)) == AlternatingNecklace("01" * n, 1)
 
 
 def sb_bar_set(s):
