@@ -141,28 +141,19 @@ def _as_surd(x) -> QuadraticSurd:
     return QuadraticSurd(p, q, delta)
 
 
-def _reg_step(p: int, q: int, delta: int, s: int) -> tuple:
-    a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
+def _step(p: int, q: int, delta: int, s: int, neg: bool) -> tuple:
+    # the negative quotient is the ceiling, which for an irrational value
+    # is the regular floor plus one
+    a = ((p + s) // q if q > 0 else -((p + s) // (-q)) - 1) + neg
     p1 = a * q - p
-    q1, r = divmod(delta - p1 * p1, q)
+    q1, r = divmod(p1 * p1 - delta if neg else delta - p1 * p1, q)
     assert r == 0, "surd state lost the divisibility invariant"
     return a, p1, q1
 
 
-def _neg_step(p: int, q: int, delta: int, s: int) -> tuple:
-    a = (p + s) // q + 1 if q > 0 else -((p + s) // (-q))
-    p1 = a * q - p
-    q1, r = divmod(p1 * p1 - delta, q)
-    assert r == 0, "surd state lost the divisibility invariant"
-    return a, p1, q1
-
-
-def _reg_reduced(p: int, q: int, s: int) -> bool:
-    return 0 < q <= p + s and p <= s < p + q
-
-
-def _neg_reduced(p: int, q: int, s: int) -> bool:
-    return 0 < q <= p + s and p - q <= s < p
+def _reduced(p: int, q: int, s: int, neg: bool) -> bool:
+    # x > 1 and -1 < x' < 0 (regular), or 0 < x' < 1 (negative)
+    return 0 < q <= p + s and (p - q <= s < p if neg else p <= s < p + q)
 
 
 def _term_count(n) -> int:
@@ -175,23 +166,23 @@ def _term_count(n) -> int:
 # The expansions take x through _as_surd once, so a bad triple raises
 # ValueError rather than failing a step; the cores take its checked ints.
 
-def _expand(p: int, q: int, d: int, n: int, step) -> tuple:
+def _expand(p: int, q: int, d: int, n: int, neg: bool) -> tuple:
     s = math.isqrt(d)
     out = []
     for _ in range(n):
-        a, p, q = step(p, q, d, s)
+        a, p, q = _step(p, q, d, s, neg)
         out.append(a)
     return tuple(out)
 
 
 def reg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n regular continued fraction quotients of x."""
-    return _expand(*_as_surd(x), _term_count(n), _reg_step)
+    return _expand(*_as_surd(x), _term_count(n), False)
 
 
 def neg_cf_surd(x: QuadraticSurd, n: int) -> tuple:
     """First n negative (ceiling) continued fraction quotients of x."""
-    return _expand(*_as_surd(x), _term_count(n), _neg_step)
+    return _expand(*_as_surd(x), _term_count(n), True)
 
 
 def denjoy_surd(x: QuadraticSurd, n: int) -> str:
@@ -211,10 +202,9 @@ def _period(p: int, q: int, d: int, neg: bool) -> tuple:
     # a tail is purely periodic iff reduced (Galois; Zagier for the negative
     # expansion), so the minimal period runs from the first reduced state on
     s = math.isqrt(d)
-    step, reduced = (_neg_step, _neg_reduced) if neg else (_reg_step, _reg_reduced)
     pre, per = [], []
-    while not reduced(p, q, s):
-        a, p, q = step(p, q, d, s)
+    while not _reduced(p, q, s, neg):
+        a, p, q = _step(p, q, d, s, neg)
         pre.append(a)
     # Reduced states stay reduced and have q > 0, so the period is stepped
     # inline with no sign branch: the negative quotient is the regular one
@@ -261,13 +251,13 @@ def neg_cf_period(x: QuadraticSurd) -> tuple:
 def is_purely_periodic_reg(x: QuadraticSurd) -> bool:
     """No regular pre-period: by Galois, exactly when x > 1 and -1 < x' < 0."""
     p, q, d = _as_surd(x)
-    return _reg_reduced(p, q, math.isqrt(d))
+    return _reduced(p, q, math.isqrt(d), False)
 
 
 def is_purely_periodic_neg(x: QuadraticSurd) -> bool:
     """No negative pre-period: by Zagier, exactly when x > 1 and 0 < x' < 1."""
     p, q, d = _as_surd(x)
-    return _neg_reduced(p, q, math.isqrt(d))
+    return _reduced(p, q, math.isqrt(d), True)
 
 
 def reg_to_denjoy(period: Iterable) -> str:

@@ -130,7 +130,7 @@ def denjoy_bits(p: int, q: int, delta: int, n: int) -> str:
     s = math.isqrt(delta)
     out = []
     left = n
-    # the pre-period; contfrac._reg_reduced, inline
+    # the pre-period; contfrac._reduced(p, q, s, False), inline
     while left > 0 and not (0 < q <= p + s and p <= s < p + q):
         a = (p + s) // q if q > 0 else -((p + s) // (-q)) - 1
         if a >= 1:

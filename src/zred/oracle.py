@@ -36,21 +36,19 @@ from itertools import product
 from .contfrac import (
     QuadraticSurd,
     _as_surd,
+    _expand,
     _period,
     _term_count,
     continuant,
     continuant_matrix,
-    neg_cf_period,
     neg_to_reg_stream,
-    reg_cf_period,
-    reg_cf_surd,
     reg_to_denjoy,
     surd,
 )
 from .forms import Form, UnimodularMatrix, act, as_int
 from .kernel import denjoy_bits
 from .maps import _beta, _denjoy_period, _gamma, _mu, _sigma, _tau
-from .pell import fundamental_solution
+from .pell import _fundamental_solution
 from .reduction import (
     _g_step,
     _z_number,
@@ -310,7 +308,7 @@ def _primitivity_work(delta):
 
 
 def _weightparity_work(delta):
-    eps = fundamental_solution(delta).epsilon
+    eps = _fundamental_solution(delta).epsilon
     for f in enumerate_z_reduced(delta):
         w = _sigma(f).count("1")
         yield None if (w % 2 == 1) == (eps == -4) else (
@@ -428,14 +426,15 @@ def _lgz_sample(delta_max):
         s = math.isqrt(d)
         p = rng.randint(-3 * s - 5, 3 * s + 5)
         q = rng.choice((-1, 1)) * rng.randint(1, 2 * s + 3)
+        # surd rescales the raw triple; the walks take the triple it returns
         x = surd(p, q, d)
         reg_char = x.cmp(1) > 0 and x.conj_cmp(-1) > 0 and x.conj_cmp(0) < 0
         neg_char = x.cmp(1) > 0 and x.conj_cmp(0) > 0 and x.conj_cmp(1) < 0
         # reduced is tested on x, not by the walk's predicate; a walk started
         # late would end the pre-period in the period's last quotient
         for kind, (pre, per), char in (
-                ("regular", reg_cf_period(x), reg_char),
-                ("negative", neg_cf_period(x), neg_char)):
+                ("regular", _period(*x, False), reg_char),
+                ("negative", _period(*x, True), neg_char)):
             if (pre == ()) != char:
                 yield (f"x={x}: purely periodic {kind} "
                        f"{pre == ()} but reduced is {char}")
@@ -445,23 +444,24 @@ def _lgz_sample(delta_max):
             else:
                 yield None
     # cross-engine: the two conversion algorithms against the direct
-    # expanders, on random reduced surds of either kind, 50 terms each
+    # expanders, on random reduced surds of either kind, 50 terms each;
+    # 2a divides delta - b*b = -4ac, so the surds need no rescaling
     pool = discriminants(max(hi, 120))
     for _ in range(50):
         d = rng.choice(pool)
         f = rng.choice(enumerate_z_reduced(d))
-        x = surd(f.b, 2 * f.a, d)
-        pre, per = neg_cf_period(x)
+        x = QuadraticSurd(f.b, 2 * f.a, d)
+        pre, per = _period(*x, True)
         if pre:
             yield f"x={x}: negative expansion not purely periodic"
-        elif neg_to_reg_stream(per, 50) != reg_cf_surd(x, 50):
+        elif neg_to_reg_stream(per, 50) != _expand(*x, 50, False):
             yield (f"x={x}: negative-to-regular stream diverges "
                    f"from the direct expansion")
         else:
             yield None
         g = rng.choice([h for h in enumerate_g_reduced(d) if h.a > 0])
-        y = surd(g.b, 2 * g.a, d)
-        bits = reg_to_denjoy(reg_cf_surd(y, 50))
+        y = QuadraticSurd(g.b, 2 * g.a, d)
+        bits = reg_to_denjoy(_expand(*y, 50, False))
         want = _denjoy_bits_stepwise(y.p, y.q, y.delta, 50)
         yield None if bits[:50] == want else (
             f"y={y}: regular-to-binary rewrite diverges from the direct expansion")

@@ -29,7 +29,9 @@ class OrbitResult(NamedTuple):
 def _z_number(a: int, b: int, s: int) -> int:
     # ceil((b + sqrt(delta)) / (2a)) = floor + 1 for a != 0, the value being
     # irrational; the floor of (b + sqrt(delta)) / q is (b + s) // q for q > 0
-    # and -((b + s) // -q) - 1 for q < 0
+    # and -((b + s) // -q) - 1 for q < 0.  The Gauss multiplier rounds the
+    # same value toward zero, the floor for a > 0 and the ceiling for a < 0,
+    # so it is this number minus one for a > 0 and this number for a < 0.
     return (b + s) // (2 * a) + 1 if a > 0 else -((b + s) // (-2 * a))
 
 
@@ -41,8 +43,7 @@ def _z_step(f: Form, s: int) -> Form:
 
 def _g_step(f: Form, s: int) -> Form:
     a, b, c = f
-    m = (b + s) // (2 * abs(a))
-    n = m if a > 0 else -m
+    n = _z_number(a, b, s) - (a > 0)
     g = Form(a * n * n - b * n + c, 2 * a * n - b, a)
     assert g.is_g_reduced(), f"Gauss step left the reduced set at {f}"
     return g

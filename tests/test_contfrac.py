@@ -399,18 +399,18 @@ def test_pure_periodicity_matches_the_period_walk(x):
     assert is_purely_periodic_neg(x) == (neg_cf_period(x)[0] == ())
 
 
-def period_by_generic_walk(x, step, reduced):
-    """_period with every state, reduced or not, taken by the step function:
-    the reference for its inline loops on reduced states."""
+def period_by_generic_walk(x, neg):
+    """_period with every state, reduced or not, taken by _step: the
+    reference for its inline loops on reduced states."""
     p, q, d = contfrac._as_surd(x)
     s = math.isqrt(d)
     pre, per = [], []
-    while not reduced(p, q, s):
-        a, p, q = step(p, q, d, s)
+    while not contfrac._reduced(p, q, s, neg):
+        a, p, q = contfrac._step(p, q, d, s, neg)
         pre.append(a)
     p0, q0 = p, q
     while not per or p != p0 or q != q0:
-        a, p, q = step(p, q, d, s)
+        a, p, q = contfrac._step(p, q, d, s, neg)
         per.append(a)
     return tuple(pre), tuple(per)
 
@@ -422,10 +422,8 @@ def period_by_generic_walk(x, step, reduced):
 @example((-7, -3, 19))
 def test_period_matches_the_generic_walk(x):
     # raw triples are rescaled by _as_surd; pre-periods of any length occur
-    for walk, step, reduced in (
-            (reg_cf_period, contfrac._reg_step, contfrac._reg_reduced),
-            (neg_cf_period, contfrac._neg_step, contfrac._neg_reduced)):
-        assert walk(x) == period_by_generic_walk(x, step, reduced)
+    for walk, neg in ((reg_cf_period, False), (neg_cf_period, True)):
+        assert walk(x) == period_by_generic_walk(x, neg)
 
 
 @given(surds())
@@ -460,6 +458,17 @@ def test_denjoy_long_expansions_are_pinned():
     assert denjoy_surd(surd(1, 2, 5), 10**6) == "1" * 10**6
     n, k = 100_001, 33_334
     assert denjoy_surd(surd(0, 1, 2), n) == ("1" + "101" * k)[:n]
+
+
+def test_expansions_cost_their_length_not_a_period():
+    # the period of this surd is far too long to walk (reg_cf_period does not
+    # finish in 10 s); n terms must take n steps, and n bits the steps that
+    # give them, so neither engine may be routed through a whole period
+    x = (7, 3, 10**30 + 57)
+    assert reg_cf_surd(x, 12) == (333333333333335, 1, 2, 11695906432748, 4, 1,
+                                  7, 1, 2, 1, 205191340924, 1)
+    assert neg_cf_surd(x, 12) == (333333333333336, 4) + (2,) * 10
+    assert denjoy_surd(x, 12) == "101010101010"
 
 
 @settings(max_examples=150)

@@ -143,3 +143,9 @@ def test_denjoy_bits_at_every_cut_of_both_loops():
         want = _denjoy_bits_stepwise(x.p, x.q, x.delta, head + 2 * size + 2)
         for n in range(len(want) + 1):
             assert kernel.denjoy_bits(x.p, x.q, x.delta, n) == want[:n], (x, n)
+
+
+def test_denjoy_bits_rejects_a_negative_value():
+    # (-3 + sqrt(5))/1 is below 0: its first regular quotient is -1
+    with pytest.raises(ValueError, match="positive value"):
+        kernel.denjoy_bits(-3, 1, 5, 4)

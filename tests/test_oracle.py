@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from zred import contfrac, oracle
+from zred import oracle
 from zred.contfrac import (
     QuadraticSurd,
     denjoy_surd,
@@ -267,7 +267,7 @@ def test_lgz_records_a_form_in_more_than_one_listed_cycle(monkeypatch):
 
 
 def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
-    period = contfrac._period
+    period = oracle._period
 
     def late_period(*args):
         pre, per = period(*args)
@@ -275,12 +275,65 @@ def test_lgz_sample_catches_a_period_walk_started_late(monkeypatch):
 
     cases, fails = _work((oracle._lgz_sample, 200))
     assert fails == []
-    monkeypatch.setattr(contfrac, "_period", late_period)
+    monkeypatch.setattr(oracle, "_period", late_period)
     late_cases, late_fails = _work((oracle._lgz_sample, 200))
     # every case fails but the 50 regular-to-binary rewrites, which read
     # no period
     assert late_cases == cases
     assert len(late_fails) == cases - 50
+
+
+def test_suites_do_not_reenter_the_public_boundary(monkeypatch):
+    # the suites' surds and discriminants are valid by construction, so
+    # they call the period, expansion and Pell cores, not the public names
+    # that check their input again
+    def boundary(*args):
+        raise AssertionError("a suite went back through a public function")
+
+    for name in ("reg_cf_period", "neg_cf_period", "reg_cf_surd",
+                 "neg_cf_surd", "denjoy_surd", "fundamental_solution"):
+        monkeypatch.setattr(oracle, name, boundary, raising=False)
+    assert _work((oracle._lgz_sample, 200))[1] == []
+    assert _work((oracle._weightparity_work, 148))[1] == []
+
+
+def test_lgz_sample_records_a_diverging_conversion(monkeypatch):
+    cases, _ = _work((oracle._lgz_sample, 200))
+    monkeypatch.setattr(oracle, "neg_to_reg_stream", lambda per, n: ())
+    bad_cases, fails = _work((oracle._lgz_sample, 200))
+    assert bad_cases == cases
+    assert len(fails) == 50
+    assert all("diverges from the direct expansion" in f for f in fails)
+
+
+def test_primitivity_records_a_repetition_and_a_collision(monkeypatch):
+    cases, fails = _work((oracle._primitivity_work, 148))
+    assert fails == []
+    primitive = [f for f in enumerate_z_reduced(148) if f.is_primitive()]
+    monkeypatch.setattr(oracle, "_sigma", lambda f: "1010")
+    got = _work((oracle._primitivity_work, 148))
+    assert got == (cases, [f"delta=148 f={f}: sigma=1010 is a repetition"
+                           for f in primitive])
+    monkeypatch.setattr(oracle, "_sigma", lambda f: "100")
+    got = _work((oracle._primitivity_work, 148))
+    assert got == (cases, [f"delta=148 f={f}: sigma=100 collides with "
+                           f"{primitive[0]}" for f in primitive[1:]])
+
+
+def test_reversal_records_a_reverse_that_is_not_reduced(monkeypatch):
+    # with a G+ form missing from the enumeration, the G- forms whose
+    # reverse or rho it is fail the guard instead of raising a KeyError
+    cases, fails = _work((oracle._reversal_work, 60))
+    assert fails == []
+    dropped = Form(1, 6, -6)
+    enumerate_g = oracle.enumerate_g_reduced
+    monkeypatch.setattr(oracle, "enumerate_g_reduced",
+                        lambda d: [f for f in enumerate_g(d) if f != dropped])
+    got = _work((oracle._reversal_work, 60))
+    assert got == (cases, [
+        "delta=60 f=(-6, 6, 1): reverse (1, 6, -6) or rho (6, 6, -1) is not reduced",
+        "delta=60 f=(-1, 6, 6): reverse (6, 6, -1) or rho (1, 6, -6) is not reduced",
+    ])
 
 
 def test_denjoy_suite_red_cases_are_exactly_imprimitive_minimality():
