@@ -74,10 +74,9 @@ def _cf_parity(num: int, den: int, want_odd: bool) -> tuple:
     # cf_expand on checked input: num > den >= 1, or num == den with want_odd.
     # For num > den each Euclid step divides a larger number by a smaller
     # one and the last divides exactly, so its quotient is at least 2 and
-    # the other parity is the split (..., q - 1, 1).
+    # the other parity is the split (..., q - 1, 1).  For num == den it
+    # gives the one quotient 1, of odd length, so only want_odd admits it.
     assert num > den or (num == den and want_odd), "cf_expand core misused"
-    if num == den:
-        return (1,)
     out = []
     while den:
         q = num // den
@@ -90,12 +89,13 @@ def _cf_parity(num: int, den: int, want_odd: bool) -> tuple:
 
 
 class QuadraticSurd(NamedTuple):
-    """(p + sqrt(delta))/q, stored with the invariant q | delta - p*p.
+    """(p + sqrt(delta))/q, meant to hold the invariant q | delta - p*p.
 
-    Any (p, q, delta) with q != 0 and delta a positive nonsquare is
-    accepted; triples missing the invariant are rescaled by |q|, which
-    leaves the value fixed.  With the invariant, equal values have equal
-    (p, q, delta) for fixed delta, so tuple equality is value equality.
+    The class stores what it is given: QuadraticSurd(1, 3, 5) stays (1, 3,
+    5).  surd(), and every public function that takes a surd, check the
+    triple and rescale one missing the invariant by |q|, which leaves the
+    value fixed.  With the invariant, equal values have equal (p, q, delta)
+    for fixed delta, so tuple equality is value equality.
     """
 
     p: int
@@ -107,21 +107,19 @@ class QuadraticSurd(NamedTuple):
 
     def cmp(self, m: int) -> int:
         """Sign of self - m for an integer m (never 0)."""
-        t = self.p - m * self.q
-        if t >= 0:
-            sn = 1
-        else:
-            sn = 1 if t * t < self.delta else -1
-        return sn if self.q > 0 else -sn
+        return _sign(self.p - m * self.q, self.q, self.delta)
 
     def conj_cmp(self, m: int) -> int:
-        """Sign of conjugate((p - sqrt(delta))/q) - m (never 0)."""
-        t = self.p - m * self.q
-        if t <= 0:
-            sn = -1
-        else:
-            sn = 1 if t * t > self.delta else -1
-        return sn if self.q > 0 else -sn
+        """Sign of conjugate (p - sqrt(delta))/q - m, which is
+        -((m q - p) + sqrt(delta))/q (never 0)."""
+        return -_sign(m * self.q - self.p, self.q, self.delta)
+
+
+def _sign(t: int, q: int, delta: int) -> int:
+    # sign of (t + sqrt(delta))/q, delta a nonsquare; t + sqrt(delta) > 0
+    # exactly when t >= 0 or t^2 < delta
+    sn = 1 if t >= 0 or t * t < delta else -1
+    return sn if q > 0 else -sn
 
 
 def surd(p: int, q: int, delta: int) -> QuadraticSurd:

@@ -80,17 +80,14 @@ def t_z(s) -> tuple:
     """String shadow of the Zagier step on bead strings.
 
     Moves one unit from the first entry to the last when the first entry
-    exceeds 1; a leading 1 instead gets carried behind a reversed pair
-    (length 2) or sent to the back together with the second entry.
+    exceeds 1; a leading 1 instead goes to the back, behind the second
+    entry, so (1, q2, q3, ..., ql) becomes (q3, ..., ql, q2, 1).
     """
     t = check_nat(s)
-    l = len(t)
-    if l == 1:
+    if len(t) == 1:
         return t
     if t[0] >= 2:
         return (t[0] - 1,) + t[1:-1] + (t[-1] + 1,)
-    if l == 2:
-        return (t[1], t[0])
     return t[2:] + (t[1], t[0])
 
 

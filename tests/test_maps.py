@@ -8,13 +8,14 @@ beta returns (1, 1) and the odd string has no inverse image.
 """
 
 import math
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zred.contfrac import continuant
+from zred.contfrac import continuant, reg_cf_period
 from zred.forms import Form
 from zred.maps import (
     _beta,
@@ -207,6 +208,50 @@ def test_beta_always_has_two_entries():
             s = beta(f)
             assert len(s) >= 2
             assert sb(s) == sigma(f)
+
+
+# ------------------------------------------- Dirichlet's period at large delta
+
+def random_g_plus_forms(rng, count, lo, hi):
+    """count random primitive Gauss-reduced forms with a > 0, lo <= delta < hi.
+
+    delta is a nonsquare 0 or 1 mod 4 and b < sqrt(delta) has its parity, so
+    4 divides delta - b^2 = 4m; a is a divisor of m above
+    (isqrt(delta) - b) // 2, below which b > |a + c| fails for c = -m/a.
+    """
+    out = []
+    while len(out) < count:
+        d = rng.randrange(lo, hi)
+        s = math.isqrt(d)
+        if d % 4 > 1 or s * s == d:
+            continue
+        b = rng.randrange(d % 2, s + 1, 2)
+        m = (d - b * b) // 4
+        small = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
+        above = sorted({k for j in small for k in (j, m // j)
+                        if k > (s - b) // 2})
+        if not above:
+            continue
+        a = rng.choice(above)
+        f = Form(a, b, -(m // a))
+        if f.is_g_reduced() and f.is_primitive():
+            out.append(f)
+    return out
+
+
+def test_gamma_and_beta_match_dirichlets_period_at_large_delta():
+    # Dirichlet's map: for a primitive Gauss-reduced f with a > 0, the surd
+    # w = (b + sqrt(delta))/(2a) is regular-reduced, so its period has no
+    # pre-period and is gamma(f); the period walk shares no code with the
+    # Pell unit and the Euclid expansion behind gamma.  beta(mu(f)) puts a
+    # 1 in front of it (the xi+ diagram).
+    rng = random.Random(20170306)
+    forms = random_g_plus_forms(rng, 200, 10**6, 10**8)
+    assert len(set(forms)) == 200
+    for f in forms:
+        g = gamma(f)
+        assert reg_cf_period((f.b, 2 * f.a, f.discriminant())) == ((), g), f
+        assert beta(mu(f)) == (1,) + g, f
 
 
 # ------------------------------------------------- one-pass continuants
